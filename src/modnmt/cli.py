@@ -8,6 +8,7 @@ inputs and seed produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 from pathlib import Path
@@ -113,6 +114,16 @@ def _copy_vocabs(vocabs: dict, out_dir: Path) -> None:
         v.save(out_dir / f"vocab_{lang}.txt")
 
 
+@contextlib.contextmanager
+def _manifest_on_failure(out: Path):
+    """Write the failed run's manifest into `out` before its TrainingError propagates."""
+    try:
+        yield
+    except trainer.TrainingError as err:
+        err.manifest.save(out / "manifest.txt")
+        raise
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -159,7 +170,8 @@ def cmd_train_joint(args) -> int:
     vocab_y = tokenizer.Vocabulary.load(args.tgt_vocab)
     corp = corpus.preprocess(_read_lines(args.src_corpus), _read_lines(args.tgt_corpus),
                              vocab_x, vocab_y, max_len=max_len)
-    registry, manifest, rows = trainer.joint_train(corp, vocab_x, vocab_y, config)
+    with _manifest_on_failure(out):
+        registry, manifest, rows = trainer.joint_train(corp, vocab_x, vocab_y, config)
     ckpt = out / "checkpoint.bin"
     save_checkpoint(registry, ckpt)
     manifest.checkpoint_path = str(ckpt)
@@ -183,8 +195,9 @@ def cmd_add_language(args) -> int:
     if shared not in vocabs:
         raise UsageError(f"shared language {shared!r} not present in checkpoint")
     corp = corpus.preprocess(lines_z, lines_x, vocab_z, vocabs[shared], max_len=max_len)
-    registry, manifest, rows = trainer.add_language(
-        registry, corp, vocab_z, vocabs[shared], config, both_directions=args.both_directions)
+    with _manifest_on_failure(out):
+        registry, manifest, rows = trainer.add_language(
+            registry, corp, vocab_z, vocabs[shared], config, both_directions=args.both_directions)
     ckpt = out / "checkpoint.bin"
     save_checkpoint(registry, ckpt)
     manifest.checkpoint_path = str(ckpt)

@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 
 from .optim import Parameter
-from .tensor import Tensor
+from .tensor import Tensor, concat
 from .tokenizer import Vocabulary
 
 NEG_INF = -1e9
@@ -29,8 +29,9 @@ class CheckpointError(ValueError):
     pass
 
 
-def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    pos = np.arange(length)[:, None].astype(np.float64)
+def sinusoidal_positions(length: int, dim: int, start: int = 0) -> np.ndarray:
+    """Encodings of positions start .. start+length-1."""
+    pos = np.arange(start, start + length)[:, None].astype(np.float64)
     i = np.arange(dim)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * (i // 2) / dim)
     enc = np.empty((length, dim))
@@ -91,18 +92,28 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out.reshape(*lead, w.shape[1]) if len(lead) > 1 else out
 
 
-def _attention(x_q: Tensor, x_kv: Tensor, p: dict, prefix: str, n_heads: int, bias: np.ndarray) -> Tensor:
-    """Multi-head attention; `bias` is an additive mask broadcast to [B,H,Tq,Tk]."""
+def _attention(x_q: Tensor, x_kv: Tensor | None, p: dict, prefix: str, n_heads: int,
+               bias: np.ndarray, cache: DecoderCache | None = None) -> Tensor:
+    """Multi-head attention; `bias` is an additive mask broadcast to [B,H,Tq,Tk].
+
+    With a `cache`, the key/value heads projected from `x_kv` are appended to
+    the ones it holds under `prefix`, and attention runs over all of them;
+    `x_kv` None attends over the cached heads alone.
+    """
     b, tq, d = x_q.shape
-    tk = x_kv.shape[1]
     dh = d // n_heads
 
-    def heads(t: Tensor, length: int) -> Tensor:
-        return t.reshape(b, length, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(t: Tensor) -> Tensor:
+        return t.reshape(b, t.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
 
-    q = heads(_linear(x_q, p[prefix + ".wq"].tensor, p[prefix + ".bq"].tensor), tq)
-    k = heads(_linear(x_kv, p[prefix + ".wk"].tensor, p[prefix + ".bk"].tensor), tk)
-    v = heads(_linear(x_kv, p[prefix + ".wv"].tensor, p[prefix + ".bv"].tensor), tk)
+    q = heads(_linear(x_q, p[prefix + ".wq"].tensor, p[prefix + ".bq"].tensor))
+    kv = None
+    if x_kv is not None:
+        kv = (heads(_linear(x_kv, p[prefix + ".wk"].tensor, p[prefix + ".bk"].tensor)),
+              heads(_linear(x_kv, p[prefix + ".wv"].tensor, p[prefix + ".bv"].tensor)))
+    if cache is not None:
+        kv = cache.extend(prefix, kv)
+    k, v = kv
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)) + bias
     ctx = scores.softmax(-1) @ v
     ctx = ctx.transpose(0, 2, 1, 3).reshape(b, tq, d)
@@ -178,6 +189,32 @@ class EncoderModule(_ParamOwner):
         return states, h
 
 
+class DecoderCache:
+    """Inference state of incremental decoding through one `DecoderModule`.
+
+    Holds, per attention sublayer, the key and value heads [B, H, T, D/H]
+    attended over so far: each self-attention sublayer's grow by the
+    positions of every cached `forward` call, each cross-attention
+    sublayer's are the encoder memory's, computed once. Row i belongs to
+    batch row i of the calls.
+    """
+
+    def __init__(self):
+        self.length = 0
+        self.kv: dict[str, tuple[Tensor, Tensor]] = {}
+
+    def extend(self, name: str, kv: tuple[Tensor, Tensor] | None) -> tuple[Tensor, Tensor]:
+        """Append `kv` (None: nothing) to the heads held under `name`; return them all."""
+        if kv is not None:
+            old = self.kv.get(name)
+            self.kv[name] = kv if old is None else tuple(concat([o, n], axis=2) for o, n in zip(old, kv))
+        return self.kv[name]
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep the batch rows `rows` (a boolean mask or indices, which may repeat) in that order."""
+        self.kv = {name: (Tensor(k.data[rows]), Tensor(v.data[rows])) for name, (k, v) in self.kv.items()}
+
+
 class DecoderModule(_ParamOwner):
     kind = "decoder"
 
@@ -216,12 +253,19 @@ class DecoderModule(_ParamOwner):
         self._add_param("out_proj.b", np.zeros(v))
 
     def forward(self, enc_states: Tensor, src_pad_mask: np.ndarray,
-                tgt_input_ids: np.ndarray, return_blocks: bool = False):
+                tgt_input_ids: np.ndarray, return_blocks: bool = False,
+                cache: DecoderCache | None = None):
         """Teacher-forced decoder pass over already-shifted target inputs.
 
         `tgt_input_ids[:, t]` may influence logits only at positions >= t;
         combined with the caller's one-step shift this gives strict
         causality with respect to predicted tokens.
+
+        With a `cache`, `tgt_input_ids` holds only the positions after the
+        `cache.length` ones already decoded; their logits equal the matching
+        positions of one pass over the whole prefix. The first such call also
+        caches the cross-attention keys and values of `enc_states`, which
+        later calls reuse.
         """
         tgt_input_ids = np.asarray(tgt_input_ids)
         b, t = tgt_input_ids.shape
@@ -229,20 +273,24 @@ class DecoderModule(_ParamOwner):
             raise CompositionError(
                 f"encoder dim {enc_states.shape[-1]} incompatible with {self.name} dim {self.dim}"
             )
+        past = cache.length if cache is not None else 0
+        memory = None if cache is not None and cache.length else enc_states
         p = self.params
         x = p["embedding"].tensor.embedding(tgt_input_ids) * np.sqrt(self.dim)
-        x = x + sinusoidal_positions(t, self.dim)
-        causal = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), NEG_INF, 0.0)[None, None]
+        x = x + sinusoidal_positions(t, self.dim, past)
+        causal = np.where(np.triu(np.ones((t, past + t), dtype=bool), k=past + 1), NEG_INF, 0.0)[None, None]
         cross_bias = np.where(np.asarray(src_pad_mask, dtype=bool)[:, None, None, :], NEG_INF, 0.0)
         block_states = []
         for blk in range(self.n_blocks):
             pre = f"block{blk}"
             q = _layer_norm(x, p, f"{pre}.ln1")
-            x = x + _attention(q, q, p, f"{pre}.self_attn", self.n_heads, causal)
-            x = x + _attention(_layer_norm(x, p, f"{pre}.ln2"), enc_states,
-                               p, f"{pre}.cross_attn", self.n_heads, cross_bias)
+            x = x + _attention(q, q, p, f"{pre}.self_attn", self.n_heads, causal, cache)
+            x = x + _attention(_layer_norm(x, p, f"{pre}.ln2"), memory,
+                               p, f"{pre}.cross_attn", self.n_heads, cross_bias, cache)
             x = x + _feed_forward(_layer_norm(x, p, f"{pre}.ln3"), p, f"{pre}.ff")
             block_states.append(x)
+        if cache is not None:
+            cache.length += t
         x = _layer_norm(x, p, "ln_final")
         logits = _linear(x, p["out_proj.w"].tensor, p["out_proj.b"].tensor)
         if return_blocks:

@@ -30,6 +30,11 @@ class DistanceMetric:
         if self.weight < 0:
             raise ValueError("distance weight must be nonnegative")
 
+    @property
+    def min_batch(self) -> int:
+        """Fewest sentences per batch the distance is defined on."""
+        return 2 if self.kind == "correlation" else 1
+
 
 @dataclass
 class LossBreakdown:

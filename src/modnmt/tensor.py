@@ -1,10 +1,13 @@
 """Minimal dense-tensor library with reverse-mode autodiff.
 
-Everything is float64 and single-threaded by contract: two runs with the
-same seed must produce bit-identical parameters. The op set is the minimum
-needed for a small transformer plus the training objective: broadcasting
-arithmetic, batched matmul, reductions, fused softmax / cross-entropy /
-layer-norm, and an embedding gather.
+Everything is float64: two runs with the same seed and the same BLAS thread
+count must produce bit-identical parameters. Nothing here pins BLAS threads;
+the caller does, e.g. by setting OPENBLAS_NUM_THREADS=1 before numpy loads,
+as the benchmark does.
+
+The op set is the minimum needed for a small transformer plus the training
+objective: broadcasting arithmetic, batched matmul, reductions, fused
+softmax / cross-entropy / layer-norm, and an embedding gather.
 """
 
 from __future__ import annotations
@@ -262,10 +265,9 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         a = self
-        inverse = np.argsort(axes)
 
         def backward(g):
-            return (g.transpose(inverse),)
+            return (g.transpose(np.argsort(axes)),)
 
         return Tensor._from_op(a.data.transpose(axes), (a,), backward)
 
@@ -369,6 +371,7 @@ class Tensor:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        borrowed: set[int] = set()
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
@@ -384,12 +387,19 @@ class Tensor:
                     continue
                 acc = grads.get(id(parent))
                 if acc is None:
-                    # copy views / aliases of g so later in-place accumulation
-                    # cannot corrupt a gradient shared between parents
+                    # a view / alias of g may be shared with another parent:
+                    # copy it before any in-place accumulation, and only then
+                    # if it is contiguous (most are never accumulated into)
                     if pg is g or not pg.flags.owndata:
-                        pg = pg.copy()
+                        if pg.flags.c_contiguous:
+                            borrowed.add(id(parent))
+                        else:
+                            pg = pg.copy()
                     grads[id(parent)] = pg
                 else:
+                    if id(parent) in borrowed:
+                        borrowed.discard(id(parent))
+                        acc = grads[id(parent)] = acc.copy()
                     acc += pg
 
 

@@ -2,8 +2,9 @@
 addition against a frozen decoder, plus the warmup learning-rate schedule.
 
 Runs are deterministic: module initialization derives from the config seed,
-batch shuffling from seed + epoch, and all math is float64 single-threaded,
-so identical configs reproduce identical checkpoints bit for bit.
+batch shuffling from seed + epoch, and all math is float64, so identical
+configs under the same BLAS thread count reproduce identical checkpoints bit
+for bit.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ LOSS_CSV_HEADER = "step,l_xx,l_yy,l_xy,l_yx,d,total,lr"
 
 
 class TrainingError(RuntimeError):
-    def __init__(self, message: str, step: int):
+    """A run failed at `step`; `manifest` is the run's, marked failed."""
+
+    def __init__(self, message: str, step: int, manifest: RunManifest):
         super().__init__(message)
         self.step = step
+        self.manifest = manifest
 
 
 class VocabularyMismatchError(ValueError):
@@ -75,6 +79,12 @@ class RunManifest:
     checkpoint_path: str = ""
     status: str = "ok"
     failure_step: int | None = None
+    failure_cause: str = ""
+
+    def fail(self, message: str, step: int) -> TrainingError:
+        """Mark the run failed at `step`; return the error to raise."""
+        self.status, self.failure_step, self.failure_cause = "failed", step, message
+        return TrainingError(message, step, self)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -82,6 +92,7 @@ class RunManifest:
             f.write(f"status: {self.status}\n")
             if self.failure_step is not None:
                 f.write(f"failure_step: {self.failure_step}\n")
+                f.write(f"failure_cause: {self.failure_cause}\n")
             for k, v in self.config.items():
                 f.write(f"config.{k}: {v}\n")
             for k, v in self.corpus_hashes.items():
@@ -174,19 +185,19 @@ def joint_train(
 
     for step, batch in enumerate(_epoch_batches(corpus, config.batch_tokens, config.seed, config.steps), start=1):
         lr = lr_schedule(step, config.warmup_steps, config.lr_peak)
+        if batch.size < config.metric.min_batch:
+            raise manifest.fail(
+                f"step {step}: a batch of {batch.size} sentence(s), but the {config.metric.kind} "
+                f"distance needs at least {config.metric.min_batch}; raise batch_tokens", step)
         registry.zero_grad()
         breakdown, total = joint_loss(batch, e_x, d_x, e_y, d_y, config.metric)
         if not math.isfinite(breakdown.total):
-            manifest.status = "failed"
-            manifest.failure_step = step
-            raise TrainingError(f"non-finite loss at step {step}", step)
+            raise manifest.fail(f"non-finite loss at step {step}", step)
         total.backward()
         try:
             optimizer.step(params, lr)
         except GradientError as err:
-            manifest.status = "failed"
-            manifest.failure_step = step
-            raise TrainingError(str(err), step) from err
+            raise manifest.fail(str(err), step) from err
         rows.append([step, *breakdown.as_csv_row(), lr])
         if config.eval_every and val_lines is not None and step % config.eval_every == 0:
             metrics = _validation_bleu(
@@ -277,16 +288,12 @@ def add_language(
             loss_xz_val = loss_xz.item()
             total = loss_zx + loss_xz
         if not math.isfinite(total.item()):
-            manifest.status = "failed"
-            manifest.failure_step = step
-            raise TrainingError(f"non-finite loss at step {step}", step)
+            raise manifest.fail(f"non-finite loss at step {step}", step)
         total.backward()
         try:
             optimizer.step(params, lr)
         except GradientError as err:
-            manifest.status = "failed"
-            manifest.failure_step = step
-            raise TrainingError(str(err), step) from err
+            raise manifest.fail(str(err), step) from err
         rows.append([step, loss_zx.item(), loss_xz_val, total.item(), lr])
 
     manifest.final_metrics["final_total_loss"] = rows[-1][3]

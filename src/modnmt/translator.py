@@ -4,6 +4,14 @@ Direct and zero-shot routes are mechanically identical; the distinction is
 provenance metadata. Pivot cascades through an intermediate language's
 text. Decoding is greedy or length-normalized beam search, with ties broken
 by lowest token id for bitwise reproducibility.
+
+Both decoders are incremental: each step feeds only the newest position to
+`DecoderModule.forward` with a `DecoderCache`, which keeps every block's
+self-attention keys/values and the encoder memory's cross-attention
+keys/values, so a step costs one position instead of the whole prefix.
+Greedy decoding drops a row from the batch (cache, encoder states and pad
+mask) once it emits EOS; beam search runs a sentence's live hypotheses as
+one batch and reorders the cache rows by each survivor's parent.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CompositionError, DecoderModule, ModuleRegistry
+from .model import CompositionError, DecoderCache, DecoderModule, ModuleRegistry
 from .tensor import Tensor, no_grad
 from .tokenizer import BOS, EOS, PAD, normalize
 
@@ -47,22 +55,29 @@ def max_output_length(src_len: int) -> int:
 def greedy_decode(dec: DecoderModule, enc_states, src_pad_mask, max_len: int) -> list[list[int]]:
     """Batched greedy decoding; returns generated ids after BOS, EOS included.
 
-    Argmax ties resolve to the lowest token id.
+    One cached decoder call per step, over the rows still decoding: a row
+    that emits EOS leaves the batch. Argmax ties resolve to the lowest token id.
     """
     b = enc_states.shape[0]
     if max_len <= 0:
         return [[] for _ in range(b)]
+    ys = np.full((b, max_len + 1), PAD, dtype=np.int64)
+    ys[:, 0] = BOS
+    live = np.arange(b)  # the row of ys behind each decoder row
+    states, mask = enc_states, np.asarray(src_pad_mask, dtype=bool)
+    cache = DecoderCache()
     with no_grad():
-        ys = np.full((b, 1), BOS, dtype=np.int64)
-        done = np.zeros(b, dtype=bool)
-        for _ in range(max_len):
-            logits = dec.forward(enc_states, src_pad_mask, ys).data[:, -1, :]
+        for t in range(max_len):
+            logits = dec.forward(states, mask, ys[live, t : t + 1], cache=cache).data[:, -1, :]
             nxt = np.argmax(logits, axis=-1)
-            nxt = np.where(done, PAD, nxt)
-            ys = np.concatenate([ys, nxt[:, None]], axis=1)
-            done |= nxt == EOS
-            if done.all():
-                break
+            ys[live, t + 1] = nxt
+            going = nxt != EOS
+            if not going.all():
+                live = live[going]
+                if not live.size:
+                    break
+                states, mask = Tensor(states.data[going]), mask[going]
+                cache.select(going)
     out = []
     for row in ys[:, 1:]:
         ids = []
@@ -76,38 +91,48 @@ def greedy_decode(dec: DecoderModule, enc_states, src_pad_mask, max_len: int) ->
     return out
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of [N, V] logits."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def beam_decode(dec: DecoderModule, enc_states, src_pad_mask, width: int, max_len: int) -> list[int]:
     """Single-sentence beam search, scores normalized by token count.
 
-    Reduces exactly to greedy for width=1.
+    Each step is one cached decoder call over the live hypotheses; the cache
+    rows then follow each survivor's parent. Reduces exactly to greedy for
+    width=1.
     """
     if max_len <= 0:
         return []
+    cache = DecoderCache()
     with no_grad():
-        beams = [([BOS], 0.0, False)]  # (ids, cumulative logp, done)
+        beams = [([BOS], 0.0, False, 0)]  # (ids, cumulative logp, done, cache row)
         for _ in range(max_len):
+            live = [c for c in beams if not c[2]]
+            cache.select(np.array([c[3] for c in live]))
+            same = np.zeros(len(live), dtype=np.int64)  # every hypothesis reads the one sentence
+            logits = dec.forward(Tensor(enc_states.data[same]), np.asarray(src_pad_mask)[same],
+                                 np.array([[c[0][-1]] for c in live]), cache=cache)
+            lp = _log_softmax(logits.data[:, -1, :])
+            top = np.argsort(-lp, axis=-1, kind="stable")[:, :width]
             candidates = []
-            for ids, logp, done in beams:
+            row = 0
+            for ids, logp, done, _ in beams:
                 if done:
-                    candidates.append((ids, logp, True))
+                    candidates.append((ids, logp, True, -1))
                     continue
-                logits = dec.forward(enc_states, src_pad_mask, np.array([ids]))
-                lp = _log_softmax(logits.data[0, -1, :])
-                top = sorted(range(lp.shape[0]), key=lambda t: (-lp[t], t))[:width]
-                for t in top:
-                    candidates.append((ids + [t], logp + lp[t], t == EOS))
+                for t in top[row].tolist():
+                    candidates.append((ids + [t], logp + lp[row, t], t == EOS, row))
+                row += 1
             candidates.sort(key=lambda c: (-c[1], c[0]))
             beams = candidates[:width]
-            if all(done for _, _, done in beams):
+            if all(done for _, _, done, _ in beams):
                 break
 
     def norm_score(c):
-        ids, logp, _ = c
+        ids, logp, _, _ = c
         return logp / max(len(ids) - 1, 1)
 
     best = max(beams, key=lambda c: (norm_score(c), [-t for t in c[0]]))

@@ -105,6 +105,28 @@ class TestTrainJoint:
             hashlib.sha256((run1 / "checkpoint.bin").read_bytes()).hexdigest()
 
 
+    def test_failed_run_writes_manifest(self, tmp_path):
+        # the first 41 pairs of the seed-7 2k corpus make 1-row batches at batch_tokens 25
+        data = tmp_path / "data"
+        assert dispatch(["gen-data", "--langs", "2", "--n", "2000", "--n-test", "0",
+                         "--seed", "7", "--out", str(data)]) == 0
+        for lang in "XY":
+            assert dispatch(["build-vocab", "--corpus", str(data / f"{lang}.txt"), "--language", lang,
+                             "--size", "96", "--out", str(data / f"vocab_{lang}.txt")]) == 0
+            head = read(data / f"{lang}.txt").splitlines(keepends=True)[:41]
+            (data / f"{lang}41.txt").write_text("".join(head), encoding="utf-8")
+        out = tmp_path / "failed"
+        rc = dispatch(["train-joint",
+                       "--src-corpus", str(data / "X41.txt"), "--tgt-corpus", str(data / "Y41.txt"),
+                       "--src-vocab", str(data / "vocab_X.txt"), "--tgt-vocab", str(data / "vocab_Y.txt"),
+                       "--seed", "7", "--out", str(out), *SMALL_TRAIN, "--batch-tokens", "25"])
+        assert rc == 2
+        manifest = read(out / "manifest.txt").splitlines()
+        assert "status: failed" in manifest and "failure_step: 1" in manifest
+        assert any(line.startswith("failure_cause:") and "at least 2" in line for line in manifest)
+        assert not (out / "checkpoint.bin").exists()
+
+
 @pytest.fixture(scope="module")
 def run2(workspace):
     root, data, run1 = workspace
@@ -139,6 +161,23 @@ class TestAddLanguage:
                        "--new-vocab", str(data / "vocab_Z.txt"), "--shared-lang", "Q",
                        "--out", str(tmp_path / "bad"), *SMALL_TRAIN])
         assert rc == 1
+
+
+    def test_failed_run_writes_manifest(self, workspace, tmp_path, monkeypatch):
+        _, data, run1 = workspace
+        from modnmt import trainer
+        from modnmt.tensor import Tensor
+
+        monkeypatch.setattr(trainer, "cross_entropy", lambda *args: Tensor(float("nan")))
+        out = tmp_path / "failed"
+        rc = dispatch(["add-language", "--from", str(run1 / "checkpoint.bin"),
+                       "--src-corpus", str(data / "Z.txt"), "--tgt-corpus", str(data / "X.txt"),
+                       "--new-vocab", str(data / "vocab_Z.txt"), "--shared-lang", "X",
+                       "--seed", "6", "--out", str(out), *SMALL_TRAIN])
+        assert rc == 2
+        manifest = read(out / "manifest.txt").splitlines()
+        assert "kind: add_language" in manifest and "status: failed" in manifest
+        assert "failure_step: 1" in manifest
 
 
 class TestTranslate:

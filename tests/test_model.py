@@ -3,8 +3,10 @@ import pytest
 
 from modnmt.corpus import generate_cipher_lines, make_batches, make_cipher_spec, preprocess
 from modnmt.model import (
+    NEG_INF,
     CheckpointError,
     CompositionError,
+    DecoderCache,
     DecoderModule,
     EncoderModule,
     ModuleRegistry,
@@ -152,6 +154,121 @@ class TestDecoder:
             states, _ = enc.encode(src_ids, src_mask)
             logits = decode_teacher_forced(dec, states, src_mask, tgt)
         assert logits.shape == (2, 3, len(vocab))
+
+
+def _reference_forward(dec, enc_states, src_pad_mask, tgt_input_ids):
+    """The decoder's teacher-forced pass written out op by op, as it stood
+    before the inference cache: the bytes `forward` without a cache keeps."""
+    p = {k: v.tensor for k, v in dec.params.items()}
+    b, t = tgt_input_ids.shape
+    h = dec.n_heads
+
+    def linear(x, pre):
+        *lead, d_in = x.shape
+        flat = x.reshape(-1, d_in) if len(lead) > 1 else x
+        out = flat @ p[pre[0]] + p[pre[1]]
+        return out.reshape(*lead, p[pre[0]].shape[1]) if len(lead) > 1 else out
+
+    def attention(x_q, x_kv, pre, bias):
+        tq, tk, d = x_q.shape[1], x_kv.shape[1], x_q.shape[2]
+        dh = d // h
+        q = linear(x_q, (pre + ".wq", pre + ".bq")).reshape(b, tq, h, dh).transpose(0, 2, 1, 3)
+        k = linear(x_kv, (pre + ".wk", pre + ".bk")).reshape(b, tk, h, dh).transpose(0, 2, 1, 3)
+        v = linear(x_kv, (pre + ".wv", pre + ".bv")).reshape(b, tk, h, dh).transpose(0, 2, 1, 3)
+        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)) + bias
+        ctx = (scores.softmax(-1) @ v).transpose(0, 2, 1, 3).reshape(b, tq, d)
+        return linear(ctx, (pre + ".wo", pre + ".bo"))
+
+    def norm(x, pre):
+        return x.layer_norm(p[pre + ".gain"], p[pre + ".bias"])
+
+    x = p["embedding"].embedding(tgt_input_ids) * np.sqrt(dec.dim) + sinusoidal_positions(t, dec.dim)
+    causal = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), NEG_INF, 0.0)[None, None]
+    cross = np.where(src_pad_mask[:, None, None, :], NEG_INF, 0.0)
+    for blk in range(dec.n_blocks):
+        q = norm(x, f"block{blk}.ln1")
+        x = x + attention(q, q, f"block{blk}.self_attn", causal)
+        x = x + attention(norm(x, f"block{blk}.ln2"), enc_states, f"block{blk}.cross_attn", cross)
+        x = x + linear(linear(norm(x, f"block{blk}.ln3"), (f"block{blk}.ff.w1", f"block{blk}.ff.b1")).relu(),
+                       (f"block{blk}.ff.w2", f"block{blk}.ff.b2"))
+    return linear(norm(x, "ln_final"), ("out_proj.w", "out_proj.b"))
+
+
+class TestDecoderCache:
+    LINES = ["a b", "a b c d e f", "c", "d e a b c"]
+    STEPS = 9
+
+    def _setup(self, vocab, seed):
+        enc = EncoderModule("X", vocab, seed=seed, **ARCH)
+        dec = DecoderModule("X", vocab, seed=seed, **ARCH)
+        src_ids, src_mask = pad_batch(vocab, self.LINES)
+        rng = np.random.default_rng(seed)
+        tgt = rng.integers(4, len(vocab), size=(len(self.LINES), self.STEPS))
+        tgt[:, 0] = 1
+        with no_grad():
+            states, _ = enc.encode(src_ids, src_mask)
+            full = dec.forward(states, src_mask, tgt).data
+        return dec, states, src_mask, tgt, full
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_position_per_call_matches_full_pass(self, vocab, seed):
+        dec, states, mask, tgt, full = self._setup(vocab, seed)
+        cache = DecoderCache()
+        with no_grad():
+            for t in range(self.STEPS):
+                step = dec.forward(states, mask, tgt[:, t : t + 1], cache=cache).data
+                np.testing.assert_allclose(step[:, 0], full[:, t], rtol=0, atol=1e-12)
+        assert cache.length == self.STEPS
+
+    def test_uneven_chunks_match_full_pass(self, vocab):
+        dec, states, mask, tgt, full = self._setup(vocab, 3)
+        cache = DecoderCache()
+        with no_grad():
+            for lo, hi in ((0, 3), (3, 4), (4, self.STEPS)):
+                step = dec.forward(states, mask, tgt[:, lo:hi], cache=cache).data
+                np.testing.assert_allclose(step, full[:, lo:hi], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_dropped_and_repeated(self, vocab, seed):
+        dec, states, mask, tgt, full = self._setup(vocab, seed)
+        cache = DecoderCache()
+        rows = np.arange(len(self.LINES))
+        with no_grad():
+            for t in range(self.STEPS):
+                if t == 3:  # drop rows 0 and 2
+                    keep = np.array([False, True, False, True])
+                    rows, cache_rows = rows[keep], keep
+                elif t == 6:  # reorder and repeat, as beam search does
+                    cache_rows = np.array([1, 0, 1])
+                    rows = rows[cache_rows]
+                else:
+                    cache_rows = None
+                if cache_rows is not None:
+                    cache.select(cache_rows)
+                step = dec.forward(Tensor(states.data[rows]), mask[rows], tgt[rows, t : t + 1],
+                                   cache=cache).data
+                np.testing.assert_allclose(step[:, 0], full[rows, t], rtol=0, atol=1e-12)
+
+    def test_forward_without_cache_byte_identical_to_reference(self, vocab):
+        dec, states, mask, tgt, full = self._setup(vocab, 4)
+        with no_grad():
+            ref = _reference_forward(dec, states, mask, tgt).data
+        assert full.tobytes() == ref.tobytes()
+
+    def test_training_gradients_byte_identical_to_reference(self, vocab):
+        enc = EncoderModule("X", vocab, seed=5, **ARCH)
+        dec = DecoderModule("X", vocab, seed=5, **ARCH)
+        src_ids, src_mask = pad_batch(vocab, self.LINES)
+        tgt_ids, tgt_mask = pad_batch(vocab, list(reversed(self.LINES)))
+        grads = []
+        for forward in (dec.forward, lambda *a: _reference_forward(dec, *a)):
+            enc.zero_grad()
+            dec.zero_grad()
+            states, _ = enc.encode(src_ids, src_mask)
+            logits = forward(states, src_mask, tgt_ids[:, :-1])
+            cross_entropy(logits, tgt_ids[:, 1:], ~tgt_mask[:, 1:]).backward()
+            grads.append([p.tensor.grad.tobytes() for p in enc.parameters() + dec.parameters()])
+        assert grads[0] == grads[1]
 
 
 def _train_steps(modules, params, batch, n):

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from modnmt.corpus import generate_cipher_lines, make_cipher_spec, preprocess
+from modnmt.corpus import (
+    cipher_oracle_translate,
+    generate_cipher_lines,
+    make_batches,
+    make_cipher_spec,
+    normalize_lines,
+    preprocess,
+)
 from modnmt.objective import DistanceMetric
 from modnmt.tokenizer import learn_bpe
 from modnmt.trainer import (
     ADD_LOSS_CSV_HEADER,
     LOSS_CSV_HEADER,
     TrainingConfig,
+    TrainingError,
     VocabularyMismatchError,
     add_language,
     corpus_hash,
@@ -103,6 +111,42 @@ class TestJointTrain:
         assert "kind: joint" in text
         assert "config.seed: 1" in text
         assert "corpus_hash.X-Y:" in text
+
+
+def one_row_batch_corpus():
+    """The first 41 pairs of the `gen-data --seed 7` 2k-pair X-Y corpus with
+    BPE-96 vocabularies learned on all 2000 lines: at batch_tokens 25,
+    `make_batches` makes 30 batches, 22 of them (the first among them) of one row."""
+    spec_x, spec_y = make_cipher_spec("X", 64, 7), make_cipher_spec("Y", 64, 8)
+    base, _ = generate_cipher_lines(spec_x, spec_x, 2000, (3, 12), seed=7)
+    lines_x = [cipher_oracle_translate(spec_x, spec_x, s) for s in base]
+    lines_y = [cipher_oracle_translate(spec_x, spec_y, s) for s in base]
+    vx = learn_bpe(normalize_lines(lines_x), "X", 96)
+    vy = learn_bpe(normalize_lines(lines_y), "Y", 96)
+    return preprocess(lines_x[:41], lines_y[:41], vx, vy), vx, vy
+
+
+class TestOneRowBatch:
+    def test_recorded_batch_plan(self):
+        corpus, _, _ = one_row_batch_corpus()
+        sizes = [b.size for b in make_batches(corpus, 25, 7)]
+        assert len(sizes) == 30 and sizes.count(1) == 22 and sizes[0] == 1
+
+    def test_correlation_fails_typed_with_step(self):
+        corpus, vx, vy = one_row_batch_corpus()
+        cfg = TrainingConfig(steps=5, warmup_steps=2, seed=7, **{**SMALL, "batch_tokens": 25})
+        with pytest.raises(TrainingError, match="at least 2") as info:
+            joint_train(corpus, vx, vy, cfg)
+        assert info.value.step == 1
+        manifest = info.value.manifest
+        assert manifest.status == "failed" and manifest.failure_step == 1
+
+    def test_l2_trains_on_one_row(self):
+        corpus, vx, vy = one_row_batch_corpus()
+        cfg = TrainingConfig(steps=3, warmup_steps=2, seed=7, metric=DistanceMetric("l2"),
+                             **{**SMALL, "batch_tokens": 25})
+        _, manifest, rows = joint_train(corpus, vx, vy, cfg)
+        assert manifest.status == "ok" and len(rows) == 3
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ import pytest
 from modnmt.corpus import make_batches, preprocess
 from modnmt.model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry, decode_teacher_forced
 from modnmt.optim import Adam
-from modnmt.tensor import cross_entropy, no_grad
-from modnmt.tokenizer import EOS, learn_bpe
+from modnmt.tensor import Tensor, cross_entropy, no_grad
+from modnmt.tokenizer import BOS, EOS, PAD, learn_bpe
 from modnmt.translator import (
     TranslationRequest,
     beam_decode,
@@ -172,3 +172,148 @@ def test_zero_shot_never_touches_pivot_vocabulary(overfit_registry):
             vocab.decode = orig_dec
     assert set(calls["encode"]) == {"X"}
     assert set(calls["decode"]) == {"Y"}
+
+
+# -- full-recompute references ---------------------------------------------------
+#
+# The decoders as they were before the inference cache: every step re-runs
+# the decoder over the whole prefix, greedy keeps finished rows in the batch,
+# beam runs one hypothesis per call and ranks the vocabulary in Python.
+
+
+def reference_greedy(dec, enc_states, src_pad_mask, max_len):
+    b = enc_states.shape[0]
+    if max_len <= 0:
+        return [[] for _ in range(b)]
+    with no_grad():
+        ys = np.full((b, 1), BOS, dtype=np.int64)
+        done = np.zeros(b, dtype=bool)
+        for _ in range(max_len):
+            logits = dec.forward(enc_states, src_pad_mask, ys).data[:, -1, :]
+            nxt = np.where(done, PAD, np.argmax(logits, axis=-1))
+            ys = np.concatenate([ys, nxt[:, None]], axis=1)
+            done |= nxt == EOS
+            if done.all():
+                break
+    out = []
+    for row in ys[:, 1:]:
+        ids = []
+        for t in row:
+            if t == PAD:
+                break
+            ids.append(int(t))
+            if t == EOS:
+                break
+        out.append(ids)
+    return out
+
+
+def reference_beam(dec, enc_states, src_pad_mask, width, max_len):
+    if max_len <= 0:
+        return []
+    with no_grad():
+        beams = [([BOS], 0.0, False)]
+        for _ in range(max_len):
+            candidates = []
+            for ids, logp, done in beams:
+                if done:
+                    candidates.append((ids, logp, True))
+                    continue
+                row = dec.forward(enc_states, src_pad_mask, np.array([ids])).data[0, -1, :]
+                shifted = row - row.max()
+                lp = shifted - np.log(np.exp(shifted).sum())
+                for t in sorted(range(lp.shape[0]), key=lambda t: (-lp[t], t))[:width]:
+                    candidates.append((ids + [t], logp + lp[t], t == EOS))
+            candidates.sort(key=lambda c: (-c[1], c[0]))
+            beams = candidates[:width]
+            if all(done for _, _, done in beams):
+                break
+    best = max(beams, key=lambda c: (c[1] / max(len(c[0]) - 1, 1), [-t for t in c[0]]))
+    return best[0][1:]
+
+
+def _encode_lines(enc, lines):
+    sentences = [enc.vocab.encode(line) for line in lines]
+    width = max(len(s.ids) for s in sentences)
+    ids = np.full((len(sentences), width), PAD, dtype=np.int64)
+    mask = np.ones((len(sentences), width), dtype=bool)
+    for row, s in enumerate(sentences):
+        ids[row, : len(s.ids)] = s.ids
+        mask[row, : len(s.ids)] = False
+    with no_grad():
+        states, _ = enc.encode(ids, mask)
+    return states, mask, [len(s.ids) - 2 for s in sentences]
+
+
+def _random_lines(seed, n, symbols="abc"):
+    rng = np.random.default_rng(seed)
+    return [" ".join(rng.choice(list(symbols), size=rng.integers(1, 8))) for _ in range(n)]
+
+
+class TestMatchesFullRecompute:
+    @pytest.mark.parametrize("src, tgt", [("X", "Y"), ("Y", "X")])
+    def test_greedy(self, overfit_registry, src, tgt):
+        enc, dec = overfit_registry.encoder(src), overfit_registry.decoder(tgt)
+        lines = _random_lines(1, 64, "abc" if src == "X" else "xyz")
+        states, mask, lengths = _encode_lines(enc, lines)
+        max_len = max(max_output_length(n) for n in lengths)
+        assert greedy_decode(dec, states, mask, max_len) == reference_greedy(dec, states, mask, max_len)
+
+    def test_greedy_with_a_row_at_the_cap(self, overfit_registry):
+        enc, dec = overfit_registry.encoder("X"), overfit_registry.decoder("Y")
+        # "a" alone translates to EOS at once; the others need 4 tokens, over the cap
+        lines = ["a", "a b c", "a", "a", "b c a b"]
+        states, mask, _ = _encode_lines(enc, lines)
+        max_len = 3
+        out = greedy_decode(dec, states, mask, max_len)
+        assert out == reference_greedy(dec, states, mask, max_len)
+        assert any(len(ids) == max_len and ids[-1] != EOS for ids in out)
+        assert any(ids[-1] == EOS and len(ids) < max_len for ids in out)
+
+    def test_greedy_untrained_decoder_runs_to_cap(self, overfit_registry):
+        enc, dec = overfit_registry.encoder("Y"), overfit_registry.decoder("X")
+        states, mask, _ = _encode_lines(enc, ["x y z", "z", "y y x z"])
+        assert greedy_decode(dec, states, mask, 11) == reference_greedy(dec, states, mask, 11)
+
+    def test_sentence_alone_equals_inside_chunk(self, overfit_registry):
+        req = TranslationRequest("X", "Y", "direct")
+        lines = _random_lines(2, 32)
+        chunk = translate_corpus(overfit_registry, req, lines)
+        assert [translate(overfit_registry, req, line) for line in lines] == chunk
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_beam(self, overfit_registry, width):
+        enc, dec = overfit_registry.encoder("X"), overfit_registry.decoder("Y")
+        lines = _random_lines(3, 24)
+        states, mask, lengths = _encode_lines(enc, lines)
+        for row, n in enumerate(lengths):
+            one, one_mask = Tensor(states.data[row : row + 1]), mask[row : row + 1]
+            assert (beam_decode(dec, one, one_mask, width, max_output_length(n))
+                    == reference_beam(dec, one, one_mask, width, max_output_length(n)))
+
+    def test_beam_untrained_decoder(self, overfit_registry):
+        enc, dec = overfit_registry.encoder("Y"), overfit_registry.decoder("X")
+        states, mask, _ = _encode_lines(enc, ["x y z"])
+        assert beam_decode(dec, states, mask, 3, 9) == reference_beam(dec, states, mask, 3, 9)
+
+
+class _TiedDecoder:
+    """After BOS, tokens 5 and 4 share the top logit; after anything else EOS wins."""
+
+    VOCAB = 8
+
+    def forward(self, enc_states, src_pad_mask, tgt_input_ids, cache=None):
+        ids = np.asarray(tgt_input_ids)
+        logits = np.zeros(ids.shape + (self.VOCAB,))
+        logits[..., 4] = logits[..., 5] = np.where(ids == BOS, 3.0, 0.0)
+        logits[..., EOS] = np.where(ids == BOS, 0.0, 3.0)
+        return Tensor(logits)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_beam_ties_pick_lowest_token_id(width):
+    states, mask = Tensor(np.zeros((1, 2, 4))), np.zeros((1, 2), bool)
+    dec = _TiedDecoder()
+    out = beam_decode(dec, states, mask, width, 5)
+    assert out == [4, EOS]
+    assert out == reference_beam(dec, states, mask, width, 5)
