@@ -26,7 +26,7 @@ from .model import (
     save_checkpoint,
 )
 from .objective import DistanceMetric, LossBreakdown, correlation_distance, joint_loss, pairwise_distance
-from .optim import Adam, AdamState, Parameter, adam_step
+from .optim import Adam, Parameter
 from .tensor import Tensor, cross_entropy, finite_difference_gradient, no_grad
 from .tokenizer import TokenizedSentence, Vocabulary, learn_bpe, normalize
 from .trainer import TrainingConfig, add_language, joint_train, lr_schedule
@@ -35,10 +35,10 @@ from .translator import TranslationRequest, beam_decode, greedy_decode, translat
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "AdamState", "Batch", "BleuReport", "DecoderModule", "DistanceMetric",
+    "Adam", "Batch", "BleuReport", "DecoderModule", "DistanceMetric",
     "EncoderModule", "LossBreakdown", "ModuleRegistry", "ParallelCorpus", "Parameter",
     "SyntheticLanguageSpec", "Tensor", "TokenizedSentence", "TrainingConfig",
-    "TranslationRequest", "Vocabulary", "adam_step", "add_language", "beam_decode",
+    "TranslationRequest", "Vocabulary", "add_language", "beam_decode",
     "cipher_oracle_translate", "corpus_bleu", "correlation_distance", "cross_entropy",
     "decode_teacher_forced", "evaluate_direction", "experiment_grid",
     "finite_difference_gradient", "generate_cipher_lines", "greedy_decode",

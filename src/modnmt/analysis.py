@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import pad_block
 from .model import ModuleRegistry
 from .objective import correlation_distance
 from .tensor import Tensor, no_grad
-from .tokenizer import PAD
+from .tokenizer import normalize
 
 DEFAULT_SENTENCE_COUNT = 130  # diagnostic sample size for reports
 
@@ -39,17 +40,6 @@ class CollapseIndicator:
     dimension_variance_mean: float
     dimension_variance_min: float
     dimension_variance_max: float
-
-
-def _batch_ids(vocab, lines: list[str]):
-    sentences = [vocab.encode(line) for line in lines]
-    width = max(len(s.ids) for s in sentences)
-    ids = np.full((len(sentences), width), PAD, dtype=np.int64)
-    mask = np.ones((len(sentences), width), dtype=bool)
-    for row, s in enumerate(sentences):
-        ids[row, : len(s.ids)] = s.ids
-        mask[row, : len(s.ids)] = False
-    return ids, mask
 
 
 def extract_representations(
@@ -90,12 +80,13 @@ def extract_representations(
         vectors = []
         with no_grad():
             for lo in range(0, len(lines), chunk):
-                ids, mask = _batch_ids(enc.vocab, lines[lo : lo + chunk])
+                ids, mask = pad_block([enc.vocab.encode(normalize(line)) for line in lines[lo : lo + chunk]])
                 states, h = enc.encode(ids, mask)
                 if stage == "encoder_final":
                     vectors.append(h.data)
                 else:
-                    tgt_ids, tgt_mask = _batch_ids(dec.vocab, ref_lines[lo : lo + chunk])
+                    tgt_ids, tgt_mask = pad_block(
+                        [dec.vocab.encode(normalize(line)) for line in ref_lines[lo : lo + chunk]])
                     _, blocks = dec.forward(states, mask, tgt_ids[:, :-1], return_blocks=True)
                     bstates = blocks[block_idx].data
                     keep = (~tgt_mask[:, 1:]).astype(np.float64)

@@ -23,7 +23,7 @@ LANG_NAMES = ["X", "Y", "Z", "W", "V", "U", "T", "S"]
 
 CONFIG_KEYS = {
     "steps": int, "batch_tokens": int, "lr_peak": float, "warmup_steps": int,
-    "seed": int, "metric": str, "metric_weight": float, "eval_every": int,
+    "seed": int, "metric": str, "metric_weight": float,
     "dim": int, "n_blocks": int, "n_heads": int, "ff_dim": int, "max_len": int,
 }
 
@@ -69,19 +69,9 @@ def build_training_config(args) -> tuple[trainer.TrainingConfig, int]:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-tokens", dest="batch_tokens", type=int)
-    p.add_argument("--lr-peak", dest="lr_peak", type=float)
-    p.add_argument("--warmup-steps", dest="warmup_steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--metric", choices=METRIC_KINDS)
-    p.add_argument("--metric-weight", dest="metric_weight", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n-blocks", dest="n_blocks", type=int)
-    p.add_argument("--n-heads", dest="n_heads", type=int)
-    p.add_argument("--ff-dim", dest="ff_dim", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
+    for key, kind in CONFIG_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                       choices=METRIC_KINDS if key == "metric" else None)
 
 
 def _read_lines(path) -> list[str]:
@@ -95,23 +85,27 @@ def _write_lines(path, lines) -> None:
             f.write(line + "\n")
 
 
-def _vocab_dir_of(ckpt_path) -> Path:
-    return Path(ckpt_path).parent
-
-
-def _load_vocabs(directory: Path) -> dict:
+def _load_run(ckpt_path):
+    """The registry in a checkpoint and the vocabularies saved next to it."""
+    directory = Path(ckpt_path).parent
     vocabs = {}
     for path in sorted(directory.glob("vocab_*.txt")):
         v = tokenizer.Vocabulary.load(path)
         vocabs[v.language] = v
     if not vocabs:
         raise UsageError(f"no vocab_*.txt files found next to checkpoint in {directory}")
-    return vocabs
+    return load_checkpoint(ckpt_path, vocabs), vocabs
 
 
-def _copy_vocabs(vocabs: dict, out_dir: Path) -> None:
+def _save_run(out: Path, registry, manifest, loss_csv: str, vocabs: dict) -> None:
+    """Write a finished run: checkpoint, manifest, loss.csv and vocabularies."""
+    ckpt = out / "checkpoint.bin"
+    save_checkpoint(registry, ckpt)
+    manifest.checkpoint_path = str(ckpt)
+    manifest.save(out / "manifest.txt")
+    (out / "loss.csv").write_text(loss_csv, encoding="utf-8")
     for lang, v in vocabs.items():
-        v.save(out_dir / f"vocab_{lang}.txt")
+        v.save(out / f"vocab_{lang}.txt")
 
 
 @contextlib.contextmanager
@@ -172,12 +166,8 @@ def cmd_train_joint(args) -> int:
                              vocab_x, vocab_y, max_len=max_len)
     with _manifest_on_failure(out):
         registry, manifest, rows = trainer.joint_train(corp, vocab_x, vocab_y, config)
-    ckpt = out / "checkpoint.bin"
-    save_checkpoint(registry, ckpt)
-    manifest.checkpoint_path = str(ckpt)
-    manifest.save(out / "manifest.txt")
-    (out / "loss.csv").write_text(trainer.loss_rows_to_csv(rows), encoding="utf-8")
-    _copy_vocabs({vocab_x.language: vocab_x, vocab_y.language: vocab_y}, out)
+    _save_run(out, registry, manifest, trainer.loss_rows_to_csv(rows),
+              {vocab_x.language: vocab_x, vocab_y.language: vocab_y})
     log.info("joint training done; final loss %.4f", rows[-1][6])
     return 0
 
@@ -186,8 +176,7 @@ def cmd_add_language(args) -> int:
     config, max_len = build_training_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    vocabs = _load_vocabs(_vocab_dir_of(args.from_ckpt))
-    registry = load_checkpoint(args.from_ckpt, vocabs)
+    registry, vocabs = _load_run(args.from_ckpt)
     vocab_z = tokenizer.Vocabulary.load(args.new_vocab)
     lines_z = _read_lines(args.src_corpus)
     lines_x = _read_lines(args.tgt_corpus)
@@ -198,20 +187,14 @@ def cmd_add_language(args) -> int:
     with _manifest_on_failure(out):
         registry, manifest, rows = trainer.add_language(
             registry, corp, vocab_z, vocabs[shared], config, both_directions=args.both_directions)
-    ckpt = out / "checkpoint.bin"
-    save_checkpoint(registry, ckpt)
-    manifest.checkpoint_path = str(ckpt)
-    manifest.save(out / "manifest.txt")
-    (out / "loss.csv").write_text(
-        trainer.loss_rows_to_csv(rows, trainer.ADD_LOSS_CSV_HEADER), encoding="utf-8")
-    _copy_vocabs({**vocabs, vocab_z.language: vocab_z}, out)
+    _save_run(out, registry, manifest, trainer.loss_rows_to_csv(rows, trainer.ADD_LOSS_CSV_HEADER),
+              {**vocabs, vocab_z.language: vocab_z})
     log.info("added language %s; final loss %.4f", vocab_z.language, rows[-1][3])
     return 0
 
 
 def cmd_translate(args) -> int:
-    vocabs = _load_vocabs(_vocab_dir_of(args.ckpt))
-    registry = load_checkpoint(args.ckpt, vocabs)
+    registry, _ = _load_run(args.ckpt)
     request = translator.TranslationRequest(
         src_lang=args.src, tgt_lang=args.tgt, route=args.route, via=args.via,
         decode=args.decode, beam_width=args.width)
@@ -237,8 +220,7 @@ def _parse_test_corpora(pairs) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    vocabs = _load_vocabs(_vocab_dir_of(args.ckpt))
-    registry = load_checkpoint(args.ckpt, vocabs)
+    registry, _ = _load_run(args.ckpt)
     test_corpora = _parse_test_corpora(args.test)
     directions = []
     for lineno, line in enumerate(_read_lines(args.grid), start=1):
@@ -258,8 +240,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect_reps(args) -> int:
-    vocabs = _load_vocabs(_vocab_dir_of(args.ckpt))
-    registry = load_checkpoint(args.ckpt, vocabs)
+    registry, _ = _load_run(args.ckpt)
     test_corpora = _parse_test_corpora(args.test)
     limit = args.sentences
     test_corpora = {k: v[:limit] for k, v in test_corpora.items()}

@@ -189,7 +189,8 @@ def preprocess(
     return ParallelCorpus(src_lang=vocab_src.language, tgt_lang=vocab_tgt.language, pairs=pairs)
 
 
-def _pad_block(sentences: list[TokenizedSentence]) -> tuple[np.ndarray, np.ndarray]:
+def pad_block(sentences: list[TokenizedSentence]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad sentences with PAD to one width: (ids [B, W], pad mask [B, W], True at padding)."""
     width = max(len(s.ids) for s in sentences)
     ids = np.full((len(sentences), width), PAD, dtype=np.int64)
     mask = np.ones((len(sentences), width), dtype=bool)
@@ -234,7 +235,7 @@ def make_batches(corpus: ParallelCorpus, batch_tokens: int, seed: int) -> list[B
 
     batches = []
     for group in groups:
-        src_ids, src_mask = _pad_block([corpus.pairs[i][0] for i in group])
-        tgt_ids, tgt_mask = _pad_block([corpus.pairs[i][1] for i in group])
+        src_ids, src_mask = pad_block([corpus.pairs[i][0] for i in group])
+        tgt_ids, tgt_mask = pad_block([corpus.pairs[i][1] for i in group])
         batches.append(Batch(src_ids, tgt_ids, src_mask, tgt_mask))
     return batches

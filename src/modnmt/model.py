@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 import zlib
 
@@ -40,38 +41,69 @@ def sinusoidal_positions(length: int, dim: int, start: int = 0) -> np.ndarray:
     return enc
 
 
-def _init_rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
+class _Module:
+    """One language's encoder or decoder; the two share this builder.
 
+    A decoder's layout is an encoder's with a cross-attention sublayer and a
+    third layer-norm in every block, plus an output projection.
+    """
 
-class _ParamOwner:
-    """Shared parameter bookkeeping for encoder/decoder modules."""
+    kind: str
+    attention: tuple[str, ...]  # attention sublayers of a block
+    norms: tuple[str, ...]  # layer-norms of a block
 
-    name: str
+    def __init__(self, language: str, vocab: Vocabulary, dim: int, n_blocks: int,
+                 n_heads: int, ff_dim: int, seed: int):
+        self._describe(language, vocab, dim, n_blocks, n_heads, ff_dim)
+        rng = np.random.default_rng([seed, zlib.crc32(self.name.encode("utf-8"))])
+        for local, shape, init in self._layout():
+            self._add_param(local, _initial(rng, init, shape))
 
-    def __init__(self):
+    def _describe(self, language: str, vocab: Vocabulary, dim: int, n_blocks: int,
+                  n_heads: int, ff_dim: int) -> None:
+        if n_heads < 1 or dim % n_heads:
+            raise CompositionError(f"dim {dim} not divisible by {n_heads} heads")
+        self.language = language
+        self.vocab = vocab
+        self.vocab_hash = vocab.content_hash()
+        self.dim, self.n_blocks, self.n_heads, self.ff_dim = dim, n_blocks, n_heads, ff_dim
+        self.name = f"{self.kind}:{language}"
         self.params: dict[str, Parameter] = {}
-        self.frozen = False
 
-    def _add_param(self, local_name: str, data: np.ndarray) -> Parameter:
+    def _layout(self) -> list[tuple[str, tuple, str]]:
+        """(local name, shape, init) of every parameter, in RNG draw order."""
+        d, f, v = self.dim, self.ff_dim, len(self.vocab)
+        out = [("embedding", (v, d), "embedding")]
+        for blk in range(self.n_blocks):
+            pre = f"block{blk}"
+            for sub in self.attention:
+                out += [(f"{pre}.{sub}.{w}", (d, d), "glorot") for w in ("wq", "wk", "wv", "wo")]
+                out += [(f"{pre}.{sub}.{b}", (d,), "zeros") for b in ("bq", "bk", "bv", "bo")]
+            out += [(f"{pre}.ff.w1", (d, f), "glorot"), (f"{pre}.ff.b1", (f,), "zeros"),
+                    (f"{pre}.ff.w2", (f, d), "glorot"), (f"{pre}.ff.b2", (d,), "zeros")]
+            for ln in self.norms:
+                out += [(f"{pre}.{ln}.gain", (d,), "ones"), (f"{pre}.{ln}.bias", (d,), "zeros")]
+        return out + [("ln_final.gain", (d,), "ones"), ("ln_final.bias", (d,), "zeros")]
+
+    def _add_param(self, local_name: str, data: np.ndarray) -> None:
         full = f"{self.name}/{local_name}"
-        p = Parameter(name=full, tensor=Tensor(data, requires_grad=True))
-        self.params[local_name] = p
-        return p
+        self.params[local_name] = Parameter(name=full, tensor=Tensor(data, requires_grad=True))
 
-    def _glorot(self, rng, fan_in: int, fan_out: int) -> np.ndarray:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    def _embed(self, ids: np.ndarray, start: int) -> Tensor:
+        """Token embeddings scaled by sqrt(dim), plus the encodings of positions start, ..."""
+        x = self.params["embedding"].tensor.embedding(ids) * np.sqrt(self.dim)
+        return x + sinusoidal_positions(ids.shape[1], self.dim, start)
+
+    @property
+    def frozen(self) -> bool:
+        return all(p.frozen for p in self.params.values())
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
     def set_frozen(self, frozen: bool) -> None:
-        self.frozen = frozen
         for p in self.params.values():
             p.frozen = frozen
-            p.tensor.requires_grad = not frozen
-            p.tensor.grad = None if frozen else np.zeros_like(p.tensor.data)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -84,12 +116,15 @@ class _ParamOwner:
         return buf.getvalue()
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """[..., D_in] @ [D_in, D_out] + bias, flattened to one GEMM."""
-    *lead, d_in = x.shape
-    flat = x.reshape(-1, d_in) if len(lead) > 1 else x
-    out = flat @ w + b
-    return out.reshape(*lead, w.shape[1]) if len(lead) > 1 else out
+def _initial(rng: np.random.Generator, init: str, shape: tuple) -> np.ndarray:
+    """A parameter's initial value; only the two uniform inits draw from `rng`."""
+    if init == "zeros":
+        return np.zeros(shape)
+    if init == "ones":
+        return np.ones(shape)
+    # embedding rows have unit variance after the sqrt(dim) scale; weights are Glorot-uniform
+    limit = np.sqrt(3.0 / shape[1]) if init == "embedding" else np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def _attention(x_q: Tensor, x_kv: Tensor | None, p: dict, prefix: str, n_heads: int,
@@ -106,63 +141,37 @@ def _attention(x_q: Tensor, x_kv: Tensor | None, p: dict, prefix: str, n_heads: 
     def heads(t: Tensor) -> Tensor:
         return t.reshape(b, t.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
 
-    q = heads(_linear(x_q, p[prefix + ".wq"].tensor, p[prefix + ".bq"].tensor))
+    q = heads(x_q.linear(p[prefix + ".wq"].tensor, p[prefix + ".bq"].tensor))
     kv = None
     if x_kv is not None:
-        kv = (heads(_linear(x_kv, p[prefix + ".wk"].tensor, p[prefix + ".bk"].tensor)),
-              heads(_linear(x_kv, p[prefix + ".wv"].tensor, p[prefix + ".bv"].tensor)))
+        kv = (heads(x_kv.linear(p[prefix + ".wk"].tensor, p[prefix + ".bk"].tensor)),
+              heads(x_kv.linear(p[prefix + ".wv"].tensor, p[prefix + ".bv"].tensor)))
     if cache is not None:
         kv = cache.extend(prefix, kv)
     k, v = kv
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)) + bias
     ctx = scores.softmax(-1) @ v
     ctx = ctx.transpose(0, 2, 1, 3).reshape(b, tq, d)
-    return _linear(ctx, p[prefix + ".wo"].tensor, p[prefix + ".bo"].tensor)
+    return ctx.linear(p[prefix + ".wo"].tensor, p[prefix + ".bo"].tensor)
 
 
 def _feed_forward(x: Tensor, p: dict, prefix: str) -> Tensor:
-    h = _linear(x, p[prefix + ".w1"].tensor, p[prefix + ".b1"].tensor).relu()
-    return _linear(h, p[prefix + ".w2"].tensor, p[prefix + ".b2"].tensor)
+    h = x.linear(p[prefix + ".w1"].tensor, p[prefix + ".b1"].tensor).relu()
+    return h.linear(p[prefix + ".w2"].tensor, p[prefix + ".b2"].tensor)
 
 
 def _layer_norm(x: Tensor, p: dict, prefix: str) -> Tensor:
     return x.layer_norm(p[prefix + ".gain"].tensor, p[prefix + ".bias"].tensor)
 
 
-class EncoderModule(_ParamOwner):
+class EncoderModule(_Module):
     kind = "encoder"
+    attention = ("attn",)
+    norms = ("ln1", "ln2")
 
     def __init__(self, language: str, vocab: Vocabulary, dim: int = 64,
                  n_blocks: int = 2, n_heads: int = 4, ff_dim: int = 256, seed: int = 0):
-        super().__init__()
-        if dim % n_heads:
-            raise CompositionError(f"dim {dim} not divisible by {n_heads} heads")
-        self.language = language
-        self.vocab = vocab
-        self.vocab_hash = vocab.content_hash()
-        self.dim, self.n_blocks, self.n_heads, self.ff_dim = dim, n_blocks, n_heads, ff_dim
-        self.name = f"encoder:{language}"
-        self._build(seed)
-
-    def _build(self, seed: int) -> None:
-        rng = _init_rng(seed, self.name)
-        d, f, v = self.dim, self.ff_dim, len(self.vocab)
-        self._add_param("embedding", rng.uniform(-np.sqrt(3.0 / d), np.sqrt(3.0 / d), size=(v, d)))
-        for blk in range(self.n_blocks):
-            for sub in ("attn", ):
-                for w in ("wq", "wk", "wv", "wo"):
-                    self._add_param(f"block{blk}.{sub}.{w}", self._glorot(rng, d, d))
-                for bname in ("bq", "bk", "bv", "bo"):
-                    self._add_param(f"block{blk}.{sub}.{bname}", np.zeros(d))
-            self._add_param(f"block{blk}.ff.w1", self._glorot(rng, d, f))
-            self._add_param(f"block{blk}.ff.b1", np.zeros(f))
-            self._add_param(f"block{blk}.ff.w2", self._glorot(rng, f, d))
-            self._add_param(f"block{blk}.ff.b2", np.zeros(d))
-            for ln in ("ln1", "ln2"):
-                self._add_param(f"block{blk}.{ln}.gain", np.ones(d))
-                self._add_param(f"block{blk}.{ln}.bias", np.zeros(d))
-        self._add_param("ln_final.gain", np.ones(d))
-        self._add_param("ln_final.bias", np.zeros(d))
+        super().__init__(language, vocab, dim, n_blocks, n_heads, ff_dim, seed)
 
     def encode(self, src_ids: np.ndarray, src_pad_mask: np.ndarray) -> tuple[Tensor, Tensor]:
         """Run the encoder stack.
@@ -172,10 +181,8 @@ class EncoderModule(_ParamOwner):
         """
         src_ids = np.asarray(src_ids)
         src_pad_mask = np.asarray(src_pad_mask, dtype=bool)
-        b, s = src_ids.shape
         p = self.params
-        x = p["embedding"].tensor.embedding(src_ids) * np.sqrt(self.dim)
-        x = x + sinusoidal_positions(s, self.dim)
+        x = self._embed(src_ids, 0)
         key_bias = np.where(src_pad_mask[:, None, None, :], NEG_INF, 0.0)
         for blk in range(self.n_blocks):
             pre = f"block{blk}"
@@ -215,42 +222,18 @@ class DecoderCache:
         self.kv = {name: (Tensor(k.data[rows]), Tensor(v.data[rows])) for name, (k, v) in self.kv.items()}
 
 
-class DecoderModule(_ParamOwner):
+class DecoderModule(_Module):
     kind = "decoder"
+    attention = ("self_attn", "cross_attn")
+    norms = ("ln1", "ln2", "ln3")
 
     def __init__(self, language: str, vocab: Vocabulary, dim: int = 64,
                  n_blocks: int = 2, n_heads: int = 4, ff_dim: int = 256, seed: int = 0):
-        super().__init__()
-        if dim % n_heads:
-            raise CompositionError(f"dim {dim} not divisible by {n_heads} heads")
-        self.language = language
-        self.vocab = vocab
-        self.vocab_hash = vocab.content_hash()
-        self.dim, self.n_blocks, self.n_heads, self.ff_dim = dim, n_blocks, n_heads, ff_dim
-        self.name = f"decoder:{language}"
-        self._build(seed)
+        super().__init__(language, vocab, dim, n_blocks, n_heads, ff_dim, seed)
 
-    def _build(self, seed: int) -> None:
-        rng = _init_rng(seed, self.name)
-        d, f, v = self.dim, self.ff_dim, len(self.vocab)
-        self._add_param("embedding", rng.uniform(-np.sqrt(3.0 / d), np.sqrt(3.0 / d), size=(v, d)))
-        for blk in range(self.n_blocks):
-            for sub in ("self_attn", "cross_attn"):
-                for w in ("wq", "wk", "wv", "wo"):
-                    self._add_param(f"block{blk}.{sub}.{w}", self._glorot(rng, d, d))
-                for bname in ("bq", "bk", "bv", "bo"):
-                    self._add_param(f"block{blk}.{sub}.{bname}", np.zeros(d))
-            self._add_param(f"block{blk}.ff.w1", self._glorot(rng, d, f))
-            self._add_param(f"block{blk}.ff.b1", np.zeros(f))
-            self._add_param(f"block{blk}.ff.w2", self._glorot(rng, f, d))
-            self._add_param(f"block{blk}.ff.b2", np.zeros(d))
-            for ln in ("ln1", "ln2", "ln3"):
-                self._add_param(f"block{blk}.{ln}.gain", np.ones(d))
-                self._add_param(f"block{blk}.{ln}.bias", np.zeros(d))
-        self._add_param("ln_final.gain", np.ones(d))
-        self._add_param("ln_final.bias", np.zeros(d))
-        self._add_param("out_proj.w", self._glorot(rng, d, v))
-        self._add_param("out_proj.b", np.zeros(v))
+    def _layout(self) -> list[tuple[str, tuple, str]]:
+        d, v = self.dim, len(self.vocab)
+        return super()._layout() + [("out_proj.w", (d, v), "glorot"), ("out_proj.b", (v,), "zeros")]
 
     def forward(self, enc_states: Tensor, src_pad_mask: np.ndarray,
                 tgt_input_ids: np.ndarray, return_blocks: bool = False,
@@ -276,8 +259,7 @@ class DecoderModule(_ParamOwner):
         past = cache.length if cache is not None else 0
         memory = None if cache is not None and cache.length else enc_states
         p = self.params
-        x = p["embedding"].tensor.embedding(tgt_input_ids) * np.sqrt(self.dim)
-        x = x + sinusoidal_positions(t, self.dim, past)
+        x = self._embed(tgt_input_ids, past)
         causal = np.where(np.triu(np.ones((t, past + t), dtype=bool), k=past + 1), NEG_INF, 0.0)[None, None]
         cross_bias = np.where(np.asarray(src_pad_mask, dtype=bool)[:, None, None, :], NEG_INF, 0.0)
         block_states = []
@@ -292,7 +274,7 @@ class DecoderModule(_ParamOwner):
         if cache is not None:
             cache.length += t
         x = _layer_norm(x, p, "ln_final")
-        logits = _linear(x, p["out_proj.w"].tensor, p["out_proj.b"].tensor)
+        logits = x.linear(p["out_proj.w"].tensor, p["out_proj.b"].tensor)
         if return_blocks:
             return logits, block_states
         return logits
@@ -327,9 +309,6 @@ class ModuleRegistry:
     def decoder(self, language: str) -> DecoderModule:
         return self.get(f"decoder:{language}")
 
-    def has(self, name: str) -> bool:
-        return name in self.modules
-
     def set_frozen(self, name: str, frozen: bool) -> None:
         self.get(name).set_frozen(frozen)
 
@@ -338,10 +317,6 @@ class ModuleRegistry:
         for name in sorted(self.modules):
             out.extend(self.modules[name].parameters())
         return out
-
-    def zero_grad(self) -> None:
-        for m in self.modules.values():
-            m.zero_grad()
 
     def snapshot(self) -> dict[str, bytes]:
         return {name: m.parameter_bytes() for name, m in sorted(self.modules.items())}
@@ -363,9 +338,28 @@ def _pack_str(buf: io.BytesIO, s: str) -> None:
     buf.write(raw)
 
 
-def _read_str(buf: io.BytesIO) -> str:
-    (n,) = struct.unpack("<H", buf.read(2))
-    return buf.read(n).decode("utf-8")
+class _Reader:
+    """Reads a checkpoint payload; running past its end is a CheckpointError."""
+
+    def __init__(self, payload: bytes):
+        self.payload = memoryview(payload)
+        self.pos = 0
+
+    def take(self, n: int) -> memoryview:
+        if n > len(self.payload) - self.pos:
+            raise CheckpointError("checkpoint file truncated")
+        self.pos += n
+        return self.payload[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def string(self) -> str:
+        (n,) = self.unpack("<H")
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("checkpoint string is not UTF-8") from None
 
 
 def save_checkpoint(registry: ModuleRegistry, path) -> None:
@@ -404,46 +398,60 @@ def load_checkpoint(path, vocabularies: dict[str, Vocabulary]) -> ModuleRegistry
         blob = f.read()
     if len(blob) < len(_MAGIC) + 8:
         raise CheckpointError("checkpoint file truncated")
-    payload, checksum = blob[:-8], blob[-8:]
+    payload, checksum = memoryview(blob)[:-8], blob[-8:]
     if hashlib.sha256(payload).digest()[:8] != checksum:
         raise CheckpointError("checkpoint checksum mismatch")
-    buf = io.BytesIO(payload)
-    if buf.read(len(_MAGIC)) != _MAGIC:
+    buf = _Reader(payload)
+    if buf.take(len(_MAGIC)) != _MAGIC:
         raise CheckpointError("bad checkpoint magic bytes")
-    version, n_modules = struct.unpack("<II", buf.read(8))
+    version, n_modules = buf.unpack("<II")
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     registry = ModuleRegistry()
     for _ in range(n_modules):
-        name = _read_str(buf)
-        (kind_code,) = struct.unpack("<B", buf.read(1))
-        language = _read_str(buf)
-        (frozen,) = struct.unpack("<B", buf.read(1))
-        dim, n_blocks, n_heads, ff_dim = struct.unpack("<IIII", buf.read(16))
-        vocab_hash = _read_str(buf)
+        name = buf.string()
+        (kind_code,) = buf.unpack("<B")
+        language = buf.string()
+        (frozen,) = buf.unpack("<B")
+        dim, n_blocks, n_heads, ff_dim = buf.unpack("<IIII")
+        vocab_hash = buf.string()
+        if kind_code not in (0, 1):
+            raise CheckpointError(f"unknown module kind code {kind_code} for {name!r}")
         if language not in vocabularies:
             raise CheckpointError(f"no vocabulary supplied for language {language!r}")
         vocab = vocabularies[language]
         if vocab.content_hash() != vocab_hash:
             raise CheckpointError(f"vocabulary hash mismatch for language {language!r}")
         cls = EncoderModule if kind_code == 0 else DecoderModule
-        module = cls(language, vocab, dim=dim, n_blocks=n_blocks, n_heads=n_heads, ff_dim=ff_dim)
-        (n_params,) = struct.unpack("<I", buf.read(4))
-        if n_params != len(module.params):
-            raise CheckpointError(f"parameter count mismatch for module {name!r}")
+        module = cls.__new__(cls)  # no random init: every parameter comes from the file
+        try:
+            module._describe(language, vocab, dim, n_blocks, n_heads, ff_dim)
+        except CompositionError as err:
+            raise CheckpointError(f"module {name!r}: {err}") from None
+        if module.name != name or name in registry.modules:
+            raise CheckpointError(f"module record {name!r} repeated or not named {module.name!r}")
+        (n_params,) = buf.unpack("<I")
+        records = {}
         for _ in range(n_params):
-            local = _read_str(buf)
-            if local not in module.params:
-                raise CheckpointError(f"unknown parameter {local!r} in module {name!r}")
-            (ndim,) = struct.unpack("<B", buf.read(1))
-            shape = tuple(struct.unpack("<I", buf.read(4))[0] for _ in range(ndim))
-            target = module.params[local].tensor
-            if shape != target.data.shape:
-                raise CheckpointError(f"shape mismatch for {name}/{local}: {shape}")
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(buf.read(8 * count), dtype="<f8").reshape(shape)
-            target.data = data.astype(np.float64).copy()
+            local = buf.string()
+            (ndim,) = buf.unpack("<B")
+            shape = buf.unpack(f"<{ndim}I")
+            if local in records:
+                raise CheckpointError(f"parameter {name}/{local} repeated")
+            records[local] = np.frombuffer(buf.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        # every block holds parameters, so a corrupt n_blocks cannot size the layout
+        if n_blocks > n_params:
+            raise CheckpointError(f"module {name!r} has {n_params} parameters for {n_blocks} blocks")
+        layout = module._layout()
+        mismatch = sorted({(local, shape) for local, shape, _ in layout}
+                          ^ {(local, data.shape) for local, data in records.items()})
+        if mismatch:
+            raise CheckpointError(f"parameter {name}/{mismatch[0][0]} missing, unknown or mis-shaped")
+        for local, _, _ in layout:
+            module._add_param(local, records[local].astype(np.float64))
         if frozen:
             module.set_frozen(True)
         registry.add(module)
+    if buf.pos != len(payload):
+        raise CheckpointError("bytes after the last checkpoint module")
     return registry

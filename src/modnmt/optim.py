@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,21 +15,15 @@ class Parameter:
 
     name: str
     tensor: Tensor
-    frozen: bool = False
 
     @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
+    def frozen(self) -> bool:
+        return not self.tensor.requires_grad
 
-
-@dataclass
-class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    epsilon: float = 1e-9
-    step_count: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    @frozen.setter
+    def frozen(self, frozen: bool) -> None:
+        self.tensor.requires_grad = not frozen
+        self.tensor.grad = None if frozen else np.zeros_like(self.tensor.data)
 
 
 class Adam:
@@ -40,37 +34,32 @@ class Adam:
     """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.98, epsilon: float = 1e-9):
-        self.state = AdamState(beta1=beta1, beta2=beta2, epsilon=epsilon)
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self.step_count = 0
+        self.first_moment: dict[str, np.ndarray] = {}
+        self.second_moment: dict[str, np.ndarray] = {}
 
     def step(self, params: list[Parameter], lr: float) -> None:
-        st = self.state
-        st.step_count += 1
-        t = st.step_count
-        bc1 = 1.0 - st.beta1**t
-        bc2 = 1.0 - st.beta2**t
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
         for p in params:
-            if p.frozen or not p.tensor.requires_grad:
-                continue
             g = p.tensor.grad
-            if g is None:
+            if p.frozen or g is None:
                 continue
             if not np.all(np.isfinite(g)):
                 raise GradientError(f"non-finite gradient for parameter {p.name!r}")
-            m = st.first_moment.get(p.name)
+            m = self.first_moment.get(p.name)
             if m is None:
-                m = st.first_moment[p.name] = np.zeros_like(p.tensor.data)
-            v = st.second_moment.get(p.name)
+                m = self.first_moment[p.name] = np.zeros_like(p.tensor.data)
+            v = self.second_moment.get(p.name)
             if v is None:
-                v = st.second_moment[p.name] = np.zeros_like(p.tensor.data)
-            m *= st.beta1
-            m += (1.0 - st.beta1) * g
-            v *= st.beta2
-            v += (1.0 - st.beta2) * g * g
+                v = self.second_moment[p.name] = np.zeros_like(p.tensor.data)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
             mhat = m / bc1
             vhat = v / bc2
-            p.tensor.data -= lr * mhat / (np.sqrt(vhat) + st.epsilon)
-
-
-def adam_step(params: list[Parameter], optimizer: Adam, lr: float) -> None:
-    """Apply one Adam update. Gradients must already be accumulated."""
-    optimizer.step(params, lr)
+            p.tensor.data -= lr * mhat / (np.sqrt(vhat) + self.epsilon)

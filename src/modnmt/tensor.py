@@ -3,11 +3,11 @@
 Everything is float64: two runs with the same seed and the same BLAS thread
 count must produce bit-identical parameters. Nothing here pins BLAS threads;
 the caller does, e.g. by setting OPENBLAS_NUM_THREADS=1 before numpy loads,
-as the benchmark does.
+as the benchmark and the test suite do.
 
 The op set is the minimum needed for a small transformer plus the training
 objective: broadcasting arithmetic, batched matmul, reductions, fused
-softmax / cross-entropy / layer-norm, and an embedding gather.
+softmax / cross-entropy / layer-norm / linear, and an embedding gather.
 """
 
 from __future__ import annotations
@@ -76,14 +76,16 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
+        if _GRAD_ENABLED:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward = backward
+                    break
         return out
 
     @property
@@ -100,14 +102,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def check_finite(self, what: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise GradientError(f"non-finite values in {what}")
-        return self
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -173,14 +167,6 @@ class Tensor:
 
         return Tensor._from_op(a.data / b.data, (a, b), backward)
 
-    def __neg__(self):
-        a = self
-
-        def backward(g):
-            return (-g,)
-
-        return Tensor._from_op(-a.data, (a,), backward)
-
     def matmul(self, other: "Tensor") -> "Tensor":
         other = Tensor._coerce(other)
         a, b = self, other
@@ -196,23 +182,6 @@ class Tensor:
         return Tensor._from_op(out, (a, b), backward)
 
     __matmul__ = matmul
-
-    def exp(self) -> "Tensor":
-        a = self
-        out = np.exp(a.data)
-
-        def backward(g):
-            return (g * out,)
-
-        return Tensor._from_op(out, (a,), backward)
-
-    def log(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            return (g / a.data,)
-
-        return Tensor._from_op(np.log(a.data), (a,), backward)
 
     def sqrt(self) -> "Tensor":
         a = self
@@ -240,20 +209,9 @@ class Tensor:
 
         return Tensor._from_op(np.abs(a.data), (a,), backward)
 
-    def tanh(self) -> "Tensor":
-        a = self
-        out = np.tanh(a.data)
-
-        def backward(g):
-            return (g * (1.0 - out * out),)
-
-        return Tensor._from_op(out, (a,), backward)
-
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
 
         def backward(g):
@@ -262,8 +220,6 @@ class Tensor:
         return Tensor._from_op(a.data.reshape(shape), (a,), backward)
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         a = self
 
         def backward(g):
@@ -310,17 +266,19 @@ class Tensor:
     def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-6) -> "Tensor":
         """Normalize over the last axis, then scale and shift."""
         a = self
-        mu = a.data.mean(axis=-1, keepdims=True)
+        n = a.data.shape[-1]
+        # np.add.reduce(...) / n is ndarray.mean's arithmetic without its Python wrapper
+        mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
         centered = a.data - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
+        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
         inv = 1.0 / np.sqrt(var + eps)
         xhat = centered * inv
         out = xhat * gain.data + bias.data
 
         def backward(g):
             gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gy, axis=-1, keepdims=True) / n
+            m2 = np.add.reduce(gy * xhat, axis=-1, keepdims=True) / n
             dx = (gy - m1 - xhat * m2) * inv
             axes = tuple(range(g.ndim - 1))
             dgain = (g * xhat).sum(axis=axes)
@@ -328,6 +286,25 @@ class Tensor:
             return (dx, dgain, dbias)
 
         return Tensor._from_op(out, (a, gain, bias), backward)
+
+    def linear(self, w: "Tensor", b: "Tensor") -> "Tensor":
+        """[..., D_in] @ w [D_in, D_out] + b [D_out] as one op and one GEMM.
+
+        The arithmetic is that of reshape, matmul, add and reshape back, so
+        the values and gradients are bit-identical to composing those ops.
+        """
+        x = self
+        flat = x.data.reshape(-1, x.data.shape[-1])
+        out = (flat @ w.data + b.data).reshape(*x.data.shape[:-1], -1)
+
+        def backward(g):
+            g = g.reshape(flat.shape[0], -1)
+            gx = (g @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+            gw = flat.T @ g if w.requires_grad else None
+            gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
+            return (gx, gw, gb)
+
+        return Tensor._from_op(out, (x, w, b), backward)
 
     def embedding(self, ids: np.ndarray) -> "Tensor":
         """Gather rows of a [V, D] table; self is the table."""

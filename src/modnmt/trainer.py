@@ -10,18 +10,16 @@ for bit.
 from __future__ import annotations
 
 import hashlib
-import logging
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, make_batches
-from .model import DecoderModule, EncoderModule, ModuleRegistry, decode_teacher_forced
+from .model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry, decode_teacher_forced
 from .objective import DistanceMetric, joint_loss
 from .optim import Adam
 from .tensor import GradientError, cross_entropy
 from .tokenizer import Vocabulary
-
-log = logging.getLogger(__name__)
 
 LOSS_CSV_HEADER = "step,l_xx,l_yy,l_xy,l_yx,d,total,lr"
 
@@ -47,7 +45,6 @@ class TrainingConfig:
     warmup_steps: int = 200
     seed: int = 7
     metric: DistanceMetric = field(default_factory=DistanceMetric)
-    eval_every: int = 0
     dim: int = 64
     n_blocks: int = 2
     n_heads: int = 4
@@ -62,7 +59,7 @@ class TrainingConfig:
             "steps": self.steps, "batch_tokens": self.batch_tokens,
             "lr_peak": self.lr_peak, "warmup_steps": self.warmup_steps,
             "seed": self.seed, "metric": self.metric.kind,
-            "metric_weight": self.metric.weight, "eval_every": self.eval_every,
+            "metric_weight": self.metric.weight,
             "dim": self.dim, "n_blocks": self.n_blocks,
             "n_heads": self.n_heads, "ff_dim": self.ff_dim,
         }
@@ -123,29 +120,40 @@ def lr_schedule(step: int, warmup: int, lr_peak: float) -> float:
 
 
 def _epoch_batches(corpus: ParallelCorpus, batch_tokens: int, seed: int, steps: int):
-    """Yield exactly `steps` batches, reshuffling each epoch with seed+epoch."""
-    produced = 0
-    epoch = 0
-    while produced < steps:
-        for batch in make_batches(corpus, batch_tokens, seed + epoch):
-            yield batch
-            produced += 1
-            if produced >= steps:
-                return
-        epoch += 1
+    """Exactly `steps` batches, reshuffling each epoch with seed+epoch."""
+    epochs = (make_batches(corpus, batch_tokens, seed + epoch) for epoch in itertools.count())
+    return itertools.islice(itertools.chain.from_iterable(epochs), steps)
 
 
-def _validation_bleu(registry, corpus_langs, val_corpora, limit: int = 64) -> dict:
-    # local import: translator/evaluation sit above trainer in layering
-    from .evaluation import evaluate_direction
-    from .translator import TranslationRequest
+def _train(corpus: ParallelCorpus, config: TrainingConfig, manifest: RunManifest, params: list,
+           step_loss, min_batch: int = 1) -> list[list[float]]:
+    """The step loop both phases share; returns one row per step.
 
-    metrics = {}
-    for (src, tgt), (src_lines, ref_lines) in val_corpora.items():
-        req = TranslationRequest(src, tgt, "direct")
-        report = evaluate_direction(registry, req, src_lines[:limit], ref_lines[:limit])
-        metrics[f"bleu_{src}_{tgt}"] = round(report.bleu, 2)
-    return metrics
+    `step_loss(batch)` returns the step's total loss Tensor and the values
+    of its row between the step number and the learning rate, the total
+    last. Only `params` are zeroed and updated.
+    """
+    optimizer = Adam()
+    rows: list[list[float]] = []
+    for step, batch in enumerate(_epoch_batches(corpus, config.batch_tokens, config.seed, config.steps), start=1):
+        lr = lr_schedule(step, config.warmup_steps, config.lr_peak)
+        if batch.size < min_batch:
+            raise manifest.fail(
+                f"step {step}: a batch of {batch.size} sentence(s), but the {config.metric.kind} "
+                f"distance needs at least {min_batch}; raise batch_tokens", step)
+        for p in params:
+            p.tensor.zero_grad()
+        total, values = step_loss(batch)
+        if not math.isfinite(values[-1]):
+            raise manifest.fail(f"non-finite loss at step {step}", step)
+        total.backward()
+        try:
+            optimizer.step(params, lr)
+        except GradientError as err:
+            raise manifest.fail(str(err), step) from err
+        rows.append([step, *values, lr])
+    manifest.final_metrics["final_total_loss"] = rows[-1][-2]
+    return rows
 
 
 def joint_train(
@@ -153,7 +161,6 @@ def joint_train(
     vocab_x: Vocabulary,
     vocab_y: Vocabulary,
     config: TrainingConfig,
-    val_lines: tuple[list[str], list[str]] | None = None,
 ) -> tuple[ModuleRegistry, RunManifest, list[list[float]]]:
     """Joint bilingual training of e_x, d_x, e_y, d_y from scratch.
 
@@ -171,10 +178,6 @@ def joint_train(
     d_y = DecoderModule(y, vocab_y, **arch)
     for m in (e_x, d_x, e_y, d_y):
         registry.add(m)
-
-    optimizer = Adam()
-    params = registry.parameters()
-    rows: list[list[float]] = []
     manifest = RunManifest(
         kind="joint",
         config=config.as_dict(),
@@ -183,34 +186,11 @@ def joint_train(
         frozen_modules=[],
     )
 
-    for step, batch in enumerate(_epoch_batches(corpus, config.batch_tokens, config.seed, config.steps), start=1):
-        lr = lr_schedule(step, config.warmup_steps, config.lr_peak)
-        if batch.size < config.metric.min_batch:
-            raise manifest.fail(
-                f"step {step}: a batch of {batch.size} sentence(s), but the {config.metric.kind} "
-                f"distance needs at least {config.metric.min_batch}; raise batch_tokens", step)
-        registry.zero_grad()
+    def step_loss(batch):
         breakdown, total = joint_loss(batch, e_x, d_x, e_y, d_y, config.metric)
-        if not math.isfinite(breakdown.total):
-            raise manifest.fail(f"non-finite loss at step {step}", step)
-        total.backward()
-        try:
-            optimizer.step(params, lr)
-        except GradientError as err:
-            raise manifest.fail(str(err), step) from err
-        rows.append([step, *breakdown.as_csv_row(), lr])
-        if config.eval_every and val_lines is not None and step % config.eval_every == 0:
-            metrics = _validation_bleu(
-                registry, (x, y),
-                {(x, x): (val_lines[0], val_lines[0]),
-                 (y, y): (val_lines[1], val_lines[1]),
-                 (x, y): (val_lines[0], val_lines[1]),
-                 (y, x): (val_lines[1], val_lines[0])},
-            )
-            manifest.final_metrics.update(metrics)
-            log.info("step %d validation %s", step, metrics)
+        return total, breakdown.as_csv_row()
 
-    manifest.final_metrics["final_total_loss"] = rows[-1][6]
+    rows = _train(corpus, config, manifest, registry.parameters(), step_loss, config.metric.min_batch)
     return registry, manifest, rows
 
 
@@ -231,72 +211,57 @@ def add_language(
     `corpus_zx` pairs new-language sentences (source side) with an existing
     language X (target side). Only the new modules receive updates; every
     pre-existing module is frozen and stays byte-identical. The X-side
-    vocabulary must hash-match the one used in the joint phase.
+    vocabulary must hash-match the one used in the joint phase. Every check
+    runs before any module is frozen, so a rejected call leaves `registry`
+    as it was.
     """
     z, x = corpus_zx.src_lang, corpus_zx.tgt_lang
     d_x = registry.decoder(x)
+    e_x = registry.encoder(x) if both_directions else None
     if vocab_x.content_hash() != d_x.vocab_hash:
         raise VocabularyMismatchError(
             f"vocabulary for shared language {x!r} differs from the joint-phase vocabulary"
         )
-
-    existing = sorted(registry.modules)
-    for name in existing:
-        registry.set_frozen(name, True)
-
-    arch = dict(dim=config.dim, n_blocks=config.n_blocks, n_heads=config.n_heads,
-                ff_dim=config.ff_dim, seed=config.seed)
     if config.dim != d_x.dim:
         raise VocabularyMismatchError(
             f"configured dim {config.dim} incompatible with frozen decoder dim {d_x.dim}"
         )
+    arch = dict(dim=config.dim, n_blocks=config.n_blocks, n_heads=config.n_heads,
+                ff_dim=config.ff_dim, seed=config.seed)
     e_z = EncoderModule(z, vocab_z, **arch)
-    registry.add(e_z)
-    trained = [e_z.name]
-    d_z = None
-    e_x = None
-    if both_directions:
-        e_x = registry.encoder(x)
-        d_z = DecoderModule(z, vocab_z, **arch)
-        registry.add(d_z)
-        trained.append(d_z.name)
+    d_z = DecoderModule(z, vocab_z, **arch) if both_directions else None
+    trained = [m for m in (e_z, d_z) if m is not None]
+    for m in trained:
+        if m.name in registry.modules:
+            raise CompositionError(f"module {m.name!r} already registered")
 
-    optimizer = Adam()
-    params = e_z.parameters() + (d_z.parameters() if d_z else [])
-    rows: list[list[float]] = []
+    existing = sorted(registry.modules)
+    for name in existing:
+        registry.set_frozen(name, True)
+    for m in trained:
+        registry.add(m)
     manifest = RunManifest(
         kind="add_language",
         config=config.as_dict(),
         corpus_hashes={f"{z}-{x}": corpus_hash(corpus_zx)},
-        trained_modules=trained,
+        trained_modules=[m.name for m in trained],
         frozen_modules=existing,
     )
 
-    for step, batch in enumerate(_epoch_batches(corpus_zx, config.batch_tokens, config.seed, config.steps), start=1):
-        lr = lr_schedule(step, config.warmup_steps, config.lr_peak)
-        for m in (e_z, d_z) if d_z else (e_z,):
-            m.zero_grad()
+    def step_loss(batch):
         states_z, _ = e_z.encode(batch.src_ids, batch.src_pad_mask)
         logits = decode_teacher_forced(d_x, states_z, batch.src_pad_mask, batch.tgt_ids)
         loss_zx = cross_entropy(logits, batch.tgt_ids[:, 1:], ~batch.tgt_pad_mask[:, 1:])
-        total = loss_zx
-        loss_xz_val = 0.0
-        if d_z is not None:
-            states_x, _ = e_x.encode(batch.tgt_ids, batch.tgt_pad_mask)
-            logits_xz = decode_teacher_forced(d_z, states_x, batch.tgt_pad_mask, batch.src_ids)
-            loss_xz = cross_entropy(logits_xz, batch.src_ids[:, 1:], ~batch.src_pad_mask[:, 1:])
-            loss_xz_val = loss_xz.item()
-            total = loss_zx + loss_xz
-        if not math.isfinite(total.item()):
-            raise manifest.fail(f"non-finite loss at step {step}", step)
-        total.backward()
-        try:
-            optimizer.step(params, lr)
-        except GradientError as err:
-            raise manifest.fail(str(err), step) from err
-        rows.append([step, loss_zx.item(), loss_xz_val, total.item(), lr])
+        if d_z is None:
+            return loss_zx, [loss_zx.item(), 0.0, loss_zx.item()]
+        states_x, _ = e_x.encode(batch.tgt_ids, batch.tgt_pad_mask)
+        logits_xz = decode_teacher_forced(d_z, states_x, batch.tgt_pad_mask, batch.src_ids)
+        loss_xz = cross_entropy(logits_xz, batch.src_ids[:, 1:], ~batch.src_pad_mask[:, 1:])
+        total = loss_zx + loss_xz
+        return total, [loss_zx.item(), loss_xz.item(), total.item()]
 
-    manifest.final_metrics["final_total_loss"] = rows[-1][3]
+    params = [p for m in trained for p in m.parameters()]
+    rows = _train(corpus_zx, config, manifest, params, step_loss)
     return registry, manifest, rows
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import pad_block
 from .model import CompositionError, DecoderCache, DecoderModule, ModuleRegistry
 from .tensor import Tensor, no_grad
 from .tokenizer import BOS, EOS, PAD, normalize
@@ -152,12 +153,7 @@ def _resolve_pair(registry: ModuleRegistry, src_lang: str, tgt_lang: str):
 def _translate_block(registry, request, lines: list[str]) -> list[str]:
     enc, dec = _resolve_pair(registry, request.src_lang, request.tgt_lang)
     sentences = [enc.vocab.encode(normalize(line)) for line in lines]
-    width = max(len(s.ids) for s in sentences)
-    ids = np.full((len(sentences), width), PAD, dtype=np.int64)
-    mask = np.ones((len(sentences), width), dtype=bool)
-    for row, s in enumerate(sentences):
-        ids[row, : len(s.ids)] = s.ids
-        mask[row, : len(s.ids)] = False
+    ids, mask = pad_block(sentences)
     with no_grad():
         states, _ = enc.encode(ids, mask)
     if request.decode == "greedy":

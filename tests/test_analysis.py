@@ -55,6 +55,16 @@ class TestExtract:
         small = extract_representations(reg, corpus, chunk=5)["X"].matrix
         np.testing.assert_allclose(big, small, atol=1e-12)
 
+    @pytest.mark.parametrize("stage", ["encoder_final", "decoder_block_last"])
+    def test_lines_normalised_like_translation(self, setup, stage):
+        reg, corpus = setup
+        shouted = {lang: ["  " + "   ".join(line.upper().split()) + " " for line in lines]
+                   for lang, lines in corpus.items()}
+        plain = extract_representations(reg, corpus, stage=stage, decoder_lang="X")
+        noisy = extract_representations(reg, shouted, stage=stage, decoder_lang="X")
+        for lang in corpus:
+            np.testing.assert_array_equal(noisy[lang].matrix, plain[lang].matrix)
+
     def test_decoder_stage_one_dump_per_source(self, setup):
         reg, corpus = setup
         dumps = extract_representations(reg, corpus, stage="decoder_block_last", decoder_lang="X")

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from modnmt.cli import dispatch, read_config_file
+from modnmt.cli import UsageError, dispatch, read_config_file
 from modnmt.corpus import SyntheticLanguageSpec, cipher_oracle_translate
 
 SMALL_TRAIN = [
@@ -66,6 +66,12 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("momentum = 0.9\n")
         with pytest.raises(Exception, match="unknown config key"):
+            read_config_file(cfg)
+
+    def test_eval_every_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("eval_every = 5\n")
+        with pytest.raises(UsageError, match="unknown config key 'eval_every'"):
             read_config_file(cfg)
 
     def test_flags_override_file(self, workspace, tmp_path):
@@ -255,3 +261,10 @@ class TestDispatch:
 
     def test_missing_required_flag(self):
         assert dispatch(["build-vocab", "--language", "X"]) == 1
+
+    def test_eval_every_flag_rejected(self, capsys):
+        argv = ["train-joint", "--src-corpus", "x", "--tgt-corpus", "y", "--src-vocab", "vx",
+                "--tgt-vocab", "vy", "--out", "run", "--eval-every", "5"]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--eval-every" in err

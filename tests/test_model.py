@@ -1,5 +1,10 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modnmt.corpus import generate_cipher_lines, make_batches, make_cipher_spec, preprocess
 from modnmt.model import (
@@ -404,3 +409,133 @@ class TestCheckpoint:
         save_checkpoint(reg, path)
         with pytest.raises(CheckpointError, match="no vocabulary"):
             load_checkpoint(path, {})
+
+
+def _layout(module):
+    return sorted((local, p.tensor.data.shape) for local, p in module.params.items())
+
+
+def _block_layout(blk, attention, norms):
+    out = []
+    for sub in attention:
+        out += [(f"block{blk}.{sub}.{n}", (16, 16)) for n in ("wk", "wo", "wq", "wv")]
+        out += [(f"block{blk}.{sub}.{n}", (16,)) for n in ("bk", "bo", "bq", "bv")]
+    out += [(f"block{blk}.ff.b1", (32,)), (f"block{blk}.ff.b2", (16,)),
+            (f"block{blk}.ff.w1", (16, 32)), (f"block{blk}.ff.w2", (32, 16))]
+    for ln in norms:
+        out += [(f"block{blk}.{ln}.bias", (16,)), (f"block{blk}.{ln}.gain", (16,))]
+    return out
+
+
+class TestInitPin:
+    """Pinned layouts and init bytes: checkpoints and seeded runs depend on both."""
+
+    def test_encoder(self, vocab):
+        enc = EncoderModule("X", vocab, seed=3, **ARCH)
+        expected = [("embedding", (24, 16)), ("ln_final.bias", (16,)), ("ln_final.gain", (16,))]
+        for blk in range(2):
+            expected += _block_layout(blk, ["attn"], ["ln1", "ln2"])
+        assert _layout(enc) == sorted(expected)
+        assert hashlib.sha256(enc.parameter_bytes()).hexdigest() == (
+            "ec9da0fbbb22a0ca22e5459d33d4297e7cd1868050a85adf179379502af91a05")
+
+    def test_decoder(self, vocab):
+        dec = DecoderModule("X", vocab, seed=3, **ARCH)
+        expected = [("embedding", (24, 16)), ("ln_final.bias", (16,)), ("ln_final.gain", (16,)),
+                    ("out_proj.b", (24,)), ("out_proj.w", (16, 24))]
+        for blk in range(2):
+            expected += _block_layout(blk, ["cross_attn", "self_attn"], ["ln1", "ln2", "ln3"])
+        assert _layout(dec) == sorted(expected)
+        assert hashlib.sha256(dec.parameter_bytes()).hexdigest() == (
+            "b2686e3b9bfc2a5153918319d4135ab87b2ff2de0c95c7b6b8685b2ae2851de7")
+
+
+def _sealed(payload: bytes) -> bytes:
+    """`payload` with a valid checksum, as save_checkpoint writes it."""
+    return payload + hashlib.sha256(payload).digest()[:8]
+
+
+@pytest.fixture(scope="module")
+def ckpt_payload(vocab, tmp_path_factory):
+    """Checksum-free bytes of a saved encoder:X + decoder:X checkpoint, and a scratch path."""
+    reg = ModuleRegistry()
+    reg.add(EncoderModule("X", vocab, seed=3, **ARCH))
+    reg.add(DecoderModule("X", vocab, seed=3, **ARCH))
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.bin"
+    save_checkpoint(reg, path)
+    return path.read_bytes()[:-8], path
+
+
+def _load(path, blob, vocab):
+    path.write_bytes(blob)
+    return load_checkpoint(path, {"X": vocab})
+
+
+class TestMalformedCheckpoint:
+    """A malformed body under a valid checksum raises CheckpointError and nothing else."""
+
+    HEADER = 16  # magic, version, module count
+
+    def _arch_offset(self, payload):
+        """Offset of the first module's dim (decoder:X: records are sorted by name)."""
+        name_len = struct.unpack_from("<H", payload, self.HEADER)[0]
+        lang_at = self.HEADER + 2 + name_len + 1
+        return lang_at + 2 + struct.unpack_from("<H", payload, lang_at)[0] + 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation(self, vocab, ckpt_payload, data):
+        payload, path = ckpt_payload
+        cut = data.draw(st.integers(0, len(payload) - 1), label="cut")
+        with pytest.raises(CheckpointError):
+            _load(path, _sealed(payload[:cut]), vocab)
+
+    @settings(max_examples=50, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=64))
+    def test_any_appended_bytes(self, vocab, ckpt_payload, extra):
+        payload, path = ckpt_payload
+        with pytest.raises(CheckpointError):
+            _load(path, _sealed(payload + extra), vocab)
+
+    def test_duplicated_parameter_record(self, vocab, ckpt_payload):
+        payload, path = ckpt_payload
+        # same length and shape: bk's record now repeats bq and bk is missing
+        blob = payload.replace(b"block0.cross_attn.bk", b"block0.cross_attn.bq", 1)
+        with pytest.raises(CheckpointError, match="repeated"):
+            _load(path, _sealed(blob), vocab)
+
+    def test_unknown_kind_code(self, vocab, ckpt_payload):
+        payload, path = ckpt_payload
+        blob = bytearray(payload)
+        blob[self.HEADER + 2 + len("decoder:X")] = 7
+        with pytest.raises(CheckpointError, match="kind code"):
+            _load(path, _sealed(bytes(blob)), vocab)
+
+    def test_repeated_module(self, vocab, ckpt_payload):
+        payload, path = ckpt_payload
+        # the decoder's record, written twice
+        record = payload[self.HEADER : payload.index(b"encoder:X") - 2]
+        blob = payload[:8] + struct.pack("<II", 1, 2) + record + record
+        with pytest.raises(CheckpointError, match="repeated"):
+            _load(path, _sealed(blob), vocab)
+
+    @pytest.mark.parametrize("field, value, match", [
+        (2, 0, "heads"),  # n_heads 0
+        (2, 3, "heads"),  # n_heads not dividing dim 16
+        (0, 2**31, "mis-shaped"),  # a huge dim: checked against the records, nothing allocated
+        (1, 2**31, "blocks"),  # a huge n_blocks
+    ])
+    def test_corrupt_architecture(self, vocab, ckpt_payload, field, value, match):
+        payload, path = ckpt_payload
+        blob = bytearray(payload)
+        struct.pack_into("<I", blob, self._arch_offset(payload) + 4 * field, value)
+        with pytest.raises(CheckpointError, match=match):
+            _load(path, _sealed(bytes(blob)), vocab)
+
+    def test_huge_parameter_extent(self, vocab, ckpt_payload):
+        payload, path = ckpt_payload
+        at = payload.index(b"embedding") + len(b"embedding") + 1  # first extent of the decoder's table
+        blob = bytearray(payload)
+        struct.pack_into("<I", blob, at, 2**31)
+        with pytest.raises(CheckpointError, match="truncated"):
+            _load(path, _sealed(bytes(blob)), vocab)

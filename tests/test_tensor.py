@@ -152,12 +152,9 @@ OPS = {
     "mul": lambda a, b: (a * b).mean(),
     "div": lambda a, b: (a / (b * b + 1.0)).sum(),
     "matmul": lambda a, b: (a.reshape(4, 6) @ b.reshape(6, 4)).sum(),
-    "exp": lambda a, b: (a.exp() * b.data).sum(),
-    "log": lambda a, b: ((a * a + 1.0).log()).sum(),
     "sqrt": lambda a, b: ((a * a + 0.5).sqrt()).sum(),
     "relu": lambda a, b: (a.relu() * b.data).sum(),
     "abs": lambda a, b: ((a + 0.1).abs()).sum(),
-    "tanh": lambda a, b: (a.tanh()).sum(),
     "softmax": lambda a, b: (a.reshape(4, 6).softmax(-1) * b.data.reshape(4, 6)).sum(),
     "transpose": lambda a, b: (a.reshape(2, 3, 4).transpose(2, 0, 1) * 1.5).sum(),
     "mean_axis": lambda a, b: a.reshape(4, 6).mean(axis=1).sum(),
@@ -198,6 +195,25 @@ def test_layer_norm_gradients():
         assert np.abs(t.grad - fd).max() / scale < 1e-3
 
 
+@pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=["2d", "3d"])
+def test_linear_equals_composed_ops(lead):
+    rng = np.random.default_rng(9)
+    x0, w0, b0, weights = rand(rng, *lead, 4), rand(rng, 4, 6), rand(rng, 6), rand(rng, *lead, 6)
+
+    def run(fused):
+        x, w, b = (Tensor(v.copy(), requires_grad=True) for v in (x0, w0, b0))
+        if fused:
+            out = x.linear(w, b)
+        else:
+            flat = x.reshape(-1, 4) if len(lead) > 1 else x
+            out = (flat @ w + b).reshape(*lead, 6)
+        (out * weights).sum().backward()
+        return [out.data, x.grad, w.grad, b.grad]
+
+    for fused, composed in zip(run(True), run(False)):
+        assert fused.tobytes() == composed.tobytes()
+
+
 def test_embedding_gradient_scatter():
     table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     ids = np.array([[0, 2, 2]])
@@ -220,11 +236,6 @@ def test_cross_entropy_gradient_matches_fd():
     assert np.abs(logits.grad - fd).max() < 1e-6
 
 
-def test_finite_check():
-    with pytest.raises(GradientError):
-        Tensor([np.inf]).check_finite("x")
-
-
 class TestFiniteDifference:
     def test_square(self):
         x = Tensor([3.0])
@@ -243,7 +254,7 @@ class TestFiniteDifference:
         x = rand(rng, 3, 4)
 
         def net():
-            h = (Tensor(x) @ w1).tanh()
+            h = (Tensor(x) @ w1).relu()
             return ((h @ w2) * (h @ w2)).sum()
 
         loss = net()
@@ -281,7 +292,7 @@ class TestAdam:
         opt = Adam()
         opt.step([p], lr=0.1)
         assert p.tensor.data.tobytes() == before
-        assert "p" not in opt.state.first_moment
+        assert "p" not in opt.first_moment
 
     def test_lr_zero_bit_identical(self):
         rng = np.random.default_rng(1)
@@ -303,7 +314,7 @@ class TestAdam:
         for expected in (1, 2, 3):
             p.tensor.grad = np.array([0.1])
             opt.step([p], lr=1e-3)
-            assert opt.state.step_count == expected
+            assert opt.step_count == expected
 
     def test_seeded_determinism(self):
         def run():

@@ -9,6 +9,7 @@ from modnmt.corpus import (
     normalize_lines,
     preprocess,
 )
+from modnmt.model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry
 from modnmt.objective import DistanceMetric
 from modnmt.tokenizer import learn_bpe
 from modnmt.trainer import (
@@ -200,6 +201,32 @@ class TestAddLanguage:
                              n_heads=2, ff_dim=16, batch_tokens=128)
         with pytest.raises(VocabularyMismatchError, match="incompatible"):
             add_language(joint_registry, corpus, vocab["Z"], vocab["X"], cfg)
+
+    @pytest.mark.parametrize("case, error, match", [
+        ("vocabulary", VocabularyMismatchError, "differs"),
+        ("dim", VocabularyMismatchError, "incompatible"),
+        ("encoder_registered", CompositionError, "encoder:Z.*already registered"),
+        ("decoder_registered", CompositionError, "decoder:Z.*already registered"),
+    ])
+    def test_rejected_call_changes_nothing(self, data, case, error, match):
+        lines, vocab = data
+        arch = dict(dim=16, n_blocks=1, n_heads=2, ff_dim=32, seed=5)
+        registry = ModuleRegistry()
+        registry.add(EncoderModule("X", vocab["X"], **arch))
+        registry.add(DecoderModule("X", vocab["X"], **arch))
+        registry.add((EncoderModule if case == "encoder_registered" else DecoderModule)("Z", vocab["Z"], **arch))
+        vocab_x = learn_bpe(lines["X"][:10], "X", 22) if case == "vocabulary" else vocab["X"]
+        cfg = TrainingConfig(steps=5, warmup_steps=2, seed=6, **{**SMALL, "dim": 8 if case == "dim" else 16})
+        corpus = preprocess(lines["Z"], lines["X"], vocab["Z"], vocab_x)
+
+        def state():
+            return {n: m.frozen for n, m in registry.modules.items()}, registry.snapshot()
+
+        before = state()
+        with pytest.raises(error, match=match):
+            add_language(registry, corpus, vocab["Z"], vocab_x, cfg,
+                         both_directions=case == "decoder_registered")
+        assert state() == before
 
     def test_order_independent_encoder_bytes(self, data):
         lines, vocab = data
