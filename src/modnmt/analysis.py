@@ -61,6 +61,8 @@ def extract_representations(
     counts = {len(lines) for lines in corpus_multi.values()}
     if len(counts) != 1:
         raise AnalysisError("corpus sides are not aligned (unequal sentence counts)")
+    if not counts.pop():
+        raise AnalysisError("empty corpus")
 
     if stage.startswith("decoder_block_"):
         if decoder_lang is None:
@@ -129,6 +131,8 @@ def representation_report(dumps: dict[str, RepresentationDump]):
     n_rows = {lang: dumps[lang].matrix.shape[0] for lang in langs}
     if len(set(n_rows.values())) != 1:
         raise AnalysisError(f"row misalignment across dumps: {n_rows}")
+    if n_rows[langs[0]] < 2:
+        raise AnalysisError("report needs at least 2 sentences per language")
     distances = {}
     for i, a in enumerate(langs):
         for b in langs[i:]:

@@ -122,10 +122,12 @@ def _manifest_on_failure(out: Path):
 
 
 def cmd_gen_data(args) -> int:
+    if not 1 <= args.langs <= len(LANG_NAMES):
+        raise UsageError(f"--langs must be between 1 and {len(LANG_NAMES)}")
+    if not 0 <= args.len_min <= args.len_max:
+        raise UsageError("need 0 <= --len-min <= --len-max")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.langs > len(LANG_NAMES):
-        raise UsageError(f"at most {len(LANG_NAMES)} languages supported")
     langs = LANG_NAMES[: args.langs]
     specs = {
         lang: corpus.make_cipher_spec(lang, args.base_vocab, args.seed + i)
@@ -240,10 +242,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect_reps(args) -> int:
+    if args.sentences < 2:
+        raise UsageError("--sentences must be at least 2")
     registry, _ = _load_run(args.ckpt)
     test_corpora = _parse_test_corpora(args.test)
-    limit = args.sentences
-    test_corpora = {k: v[:limit] for k, v in test_corpora.items()}
+    test_corpora = {k: v[: args.sentences] for k, v in test_corpora.items()}
     dumps = analysis.extract_representations(
         registry, test_corpora, stage=args.stage, decoder_lang=args.decoder_lang)
     out = Path(args.out)

@@ -90,18 +90,17 @@ def corpus_bleu(hypotheses: list[str], references: list[str], smoothing: bool = 
 
 
 def evaluate_direction(registry: ModuleRegistry, request: TranslationRequest,
-                       src_lines: list[str], ref_lines: list[str],
-                       smoothing: bool = False) -> BleuReport:
+                       src_lines: list[str], ref_lines: list[str]) -> BleuReport:
     """Translate the test set via the requested route and score it."""
     hyps = translate_corpus(registry, request, src_lines)
-    return corpus_bleu(hyps, ref_lines, smoothing=smoothing)
+    return corpus_bleu(hyps, ref_lines)
 
 
 @dataclass
 class GridEntry:
     label: str  # e.g. baseline / joint / added / zero_shot / pivot
     request: TranslationRequest
-    report: BleuReport | None = None
+    report: BleuReport
 
 
 @dataclass
@@ -111,16 +110,12 @@ class ExperimentGrid:
     def to_csv(self) -> str:
         lines = ["label,route,src,tgt,via,bleu,p1,p2,p3,p4,bp"]
         for e in self.entries:
-            r = e.request
-            if e.report is None:
-                lines.append(f"{e.label},{r.route},{r.src_lang},{r.tgt_lang},{r.via or ''},,,,,,")
-            else:
-                b = e.report
-                p = ",".join(f"{x:.6f}" for x in b.precisions)
-                lines.append(
-                    f"{e.label},{r.route},{r.src_lang},{r.tgt_lang},{r.via or ''},"
-                    f"{b.bleu:.4f},{p},{b.brevity_penalty:.6f}"
-                )
+            r, b = e.request, e.report
+            p = ",".join(f"{x:.6f}" for x in b.precisions)
+            lines.append(
+                f"{e.label},{r.route},{r.src_lang},{r.tgt_lang},{r.via or ''},"
+                f"{b.bleu:.4f},{p},{b.brevity_penalty:.6f}"
+            )
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
@@ -128,14 +123,13 @@ class ExperimentGrid:
         rows = [header, "-" * len(header)]
         for e in self.entries:
             r = e.request
-            bleu = f"{e.report.bleu:7.2f}" if e.report else "       "
             rows.append(f"{e.label:<10} {r.route:<9} {r.src_lang + '-' + r.tgt_lang:<8} "
-                        f"{r.via or '':<4} {bleu}")
+                        f"{r.via or '':<4} {e.report.bleu:7.2f}")
         return "\n".join(rows) + "\n"
 
 
 def experiment_grid(registry: ModuleRegistry, directions: list[tuple[str, TranslationRequest]],
-                    test_corpora: dict[str, list[str]], smoothing: bool = False) -> ExperimentGrid:
+                    test_corpora: dict[str, list[str]]) -> ExperimentGrid:
     """Evaluate every configured direction on the shared held-out set.
 
     `test_corpora` maps language tag to aligned test lines; each direction
@@ -144,11 +138,7 @@ def experiment_grid(registry: ModuleRegistry, directions: list[tuple[str, Transl
     """
     grid = ExperimentGrid()
     for label, request in directions:
-        entry = GridEntry(label=label, request=request)
-        entry.report = evaluate_direction(
-            registry, request,
-            test_corpora[request.src_lang], test_corpora[request.tgt_lang],
-            smoothing=smoothing,
-        )
-        grid.entries.append(entry)
+        report = evaluate_direction(
+            registry, request, test_corpora[request.src_lang], test_corpora[request.tgt_lang])
+        grid.entries.append(GridEntry(label=label, request=request, report=report))
     return grid

@@ -16,7 +16,7 @@ import zlib
 import numpy as np
 
 from .optim import Parameter
-from .tensor import Tensor, concat
+from .tensor import Tensor
 from .tokenizer import Vocabulary
 
 NEG_INF = -1e9
@@ -203,7 +203,8 @@ class DecoderCache:
     attended over so far: each self-attention sublayer's grow by the
     positions of every cached `forward` call, each cross-attention
     sublayer's are the encoder memory's, computed once. Row i belongs to
-    batch row i of the calls.
+    batch row i of the calls. For decoding under `no_grad` only: the heads
+    grow outside the tape, so no gradient would flow through them.
     """
 
     def __init__(self):
@@ -214,7 +215,8 @@ class DecoderCache:
         """Append `kv` (None: nothing) to the heads held under `name`; return them all."""
         if kv is not None:
             old = self.kv.get(name)
-            self.kv[name] = kv if old is None else tuple(concat([o, n], axis=2) for o, n in zip(old, kv))
+            self.kv[name] = kv if old is None else tuple(
+                Tensor(np.concatenate([o.data, n.data], axis=2)) for o, n in zip(old, kv))
         return self.kv[name]
 
     def select(self, rows: np.ndarray) -> None:

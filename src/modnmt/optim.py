@@ -23,14 +23,15 @@ class Parameter:
     @frozen.setter
     def frozen(self, frozen: bool) -> None:
         self.tensor.requires_grad = not frozen
-        self.tensor.grad = None if frozen else np.zeros_like(self.tensor.data)
+        self.tensor.grad = None
 
 
 class Adam:
     """Adam with bias correction, keyed by parameter name.
 
-    Frozen parameters are skipped entirely: no update, no moment change, so
-    their bytes are identical before and after a step.
+    Frozen parameters, and any that no backward pass reached (`grad` None),
+    are skipped entirely: no update, no moment change, so their bytes are
+    identical before and after a step.
     """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.98, epsilon: float = 1e-9):

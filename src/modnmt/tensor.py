@@ -65,7 +65,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None  # made by the first backward pass that reaches this tensor
         self._parents: tuple = ()
         self._backward = None
 
@@ -100,8 +100,7 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -112,74 +111,49 @@ class Tensor:
     def _coerce(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def __add__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
+    def _binary(self, other, forward, grad_a, grad_b) -> "Tensor":
+        """The one rule of a broadcasting binary op on self and `other`.
+
+        `forward(a, b)` is the op on the operands' data; `grad_a(g, a, b)` and
+        `grad_b(g, a, b)` are each operand's raw gradient, computed only for
+        an operand that requires grad and then summed down to its shape.
+        """
+        a, b = self, Tensor._coerce(other)
 
         def backward(g):
             return (
-                _unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None,
+                _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
+                _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
             )
 
-        return Tensor._from_op(a.data + b.data, (a, b), backward)
+        return Tensor._from_op(forward(a.data, b.data), (a, b), backward)
+
+    def __add__(self, other):
+        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-
-        def backward(g):
-            return (
-                _unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None,
-            )
-
-        return Tensor._from_op(a.data - b.data, (a, b), backward)
+        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
         return Tensor._coerce(other) - self
 
     def __mul__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-
-        def backward(g):
-            return (
-                _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-            )
-
-        return Tensor._from_op(a.data * b.data, (a, b), backward)
+        return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-
-        def backward(g):
-            return (
-                _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None,
-            )
-
-        return Tensor._from_op(a.data / b.data, (a, b), backward)
+        return self._binary(other, np.divide, lambda g, a, b: g / b,
+                            lambda g, a, b: -g * a / (b * b))
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = Tensor._coerce(other)
-        a, b = self, other
-        if a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-            raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-        out = a.data @ b.data
-
-        def backward(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
-            return (ga, gb)
-
-        return Tensor._from_op(out, (a, b), backward)
+        if self.shape[-1] != other.shape[-2 if other.ndim > 1 else 0]:
+            raise ShapeError(f"matmul inner extents differ: {self.shape} vs {other.shape}")
+        return self._binary(other, np.matmul, lambda g, a, b: g @ np.swapaxes(b, -1, -2),
+                            lambda g, a, b: np.swapaxes(a, -1, -2) @ g)
 
     __matmul__ = matmul
 
@@ -237,7 +211,7 @@ class Tensor:
             g = np.asarray(g)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.shape).copy(),)
+            return (np.broadcast_to(g, a.shape),)
 
         return Tensor._from_op(out, (a,), backward)
 
@@ -354,10 +328,12 @@ class Tensor:
             if g is None:
                 continue
             if node._backward is None:
-                # leaf: accumulate into .grad
+                # leaf: 0.0 + g copies the first gradient and turns any -0.0 into
+                # +0.0, the value a sum into zeros gives; later ones add into it
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                    node.grad = 0.0 + g
+                else:
+                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -378,23 +354,6 @@ class Tensor:
                         borrowed.discard(id(parent))
                         acc = grads[id(parent)] = acc.copy()
                     acc += pg
-
-
-def concat(tensors: list, axis: int = 0) -> Tensor:
-    tensors = [Tensor._coerce(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        pieces = []
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            pieces.append(g[tuple(idx)])
-        return tuple(pieces)
-
-    return Tensor._from_op(out, tensors, backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, valid_mask: np.ndarray) -> Tensor:

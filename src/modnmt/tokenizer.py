@@ -66,10 +66,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
-
     # -- encoding -------------------------------------------------------------
 
     def _encode_word(self, word: str) -> list[int]:

@@ -131,7 +131,7 @@ def _train(corpus: ParallelCorpus, config: TrainingConfig, manifest: RunManifest
 
     `step_loss(batch)` returns the step's total loss Tensor and the values
     of its row between the step number and the learning rate, the total
-    last. Only `params` are zeroed and updated.
+    last. Only `params` have their gradients cleared and are updated.
     """
     optimizer = Adam()
     rows: list[list[float]] = []
@@ -223,7 +223,7 @@ def add_language(
             f"vocabulary for shared language {x!r} differs from the joint-phase vocabulary"
         )
     if config.dim != d_x.dim:
-        raise VocabularyMismatchError(
+        raise CompositionError(
             f"configured dim {config.dim} incompatible with frozen decoder dim {d_x.dim}"
         )
     arch = dict(dim=config.dim, n_blocks=config.n_blocks, n_heads=config.n_heads,

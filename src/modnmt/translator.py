@@ -42,6 +42,8 @@ class TranslationRequest:
             raise CompositionError(f"unknown route {self.route!r}")
         if self.route == "pivot" and not self.via:
             raise CompositionError("pivot route requires a via language")
+        if self.route != "pivot" and self.via:
+            raise CompositionError(f"via language {self.via!r} given for the {self.route} route")
         if self.decode not in ("greedy", "beam"):
             raise CompositionError(f"unknown decode mode {self.decode!r}")
         if self.decode == "beam" and self.beam_width < 1:
@@ -54,7 +56,8 @@ def max_output_length(src_len: int) -> int:
 
 
 def greedy_decode(dec: DecoderModule, enc_states, src_pad_mask, max_len: int) -> list[list[int]]:
-    """Batched greedy decoding; returns generated ids after BOS, EOS included.
+    """Batched greedy decoding; returns generated ids after BOS, EOS included
+    (and any PAD emitted before it, as beam search keeps them).
 
     One cached decoder call per step, over the rows still decoding: a row
     that emits EOS leaves the batch. Argmax ties resolve to the lowest token id.
@@ -64,6 +67,7 @@ def greedy_decode(dec: DecoderModule, enc_states, src_pad_mask, max_len: int) ->
         return [[] for _ in range(b)]
     ys = np.full((b, max_len + 1), PAD, dtype=np.int64)
     ys[:, 0] = BOS
+    lengths = np.full(b, max_len)  # each row's output ends at its EOS, or at the cap
     live = np.arange(b)  # the row of ys behind each decoder row
     states, mask = enc_states, np.asarray(src_pad_mask, dtype=bool)
     cache = DecoderCache()
@@ -74,22 +78,13 @@ def greedy_decode(dec: DecoderModule, enc_states, src_pad_mask, max_len: int) ->
             ys[live, t + 1] = nxt
             going = nxt != EOS
             if not going.all():
+                lengths[live[~going]] = t + 1
                 live = live[going]
                 if not live.size:
                     break
                 states, mask = Tensor(states.data[going]), mask[going]
                 cache.select(going)
-    out = []
-    for row in ys[:, 1:]:
-        ids = []
-        for t in row:
-            if t == PAD:
-                break
-            ids.append(int(t))
-            if t == EOS:
-                break
-        out.append(ids)
-    return out
+    return [row[1 : n + 1].tolist() for row, n in zip(ys, lengths)]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -55,6 +55,16 @@ class TestGenData:
     def test_too_many_langs(self, tmp_path):
         assert dispatch(["gen-data", "--langs", "99", "--out", str(tmp_path / "d")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--langs", "0"], ["--langs", "-1"], ["--langs", "9"],
+        ["--len-min", "5", "--len-max", "3"], ["--len-min", "-3"],
+    ], ids=["langs0", "langs-1", "langs9", "len_min_over_max", "len_min_negative"])
+    def test_bad_arguments_write_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "d"
+        assert dispatch(["gen-data", "--n", "4", "--n-test", "2", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):
@@ -198,6 +208,16 @@ class TestTranslate:
         meta = read(tmp_path / "hyp.txt.meta")
         assert "route: zero_shot" in meta and "src: Z" in meta
 
+    def test_via_without_pivot_rejected(self, workspace, run2, tmp_path, capsys):
+        _, data, _ = workspace
+        out_file = tmp_path / "hyp.txt"
+        rc = dispatch(["translate", "--ckpt", str(run2 / "checkpoint.bin"),
+                       "--src", "Z", "--tgt", "Y", "--route", "direct", "--via", "Q",
+                       "--in", str(data / "Z.test.txt"), "--out", str(out_file)])
+        assert rc == 2
+        assert "via" in capsys.readouterr().err
+        assert not out_file.exists() and not (tmp_path / "hyp.txt.meta").exists()
+
     def test_missing_module_is_runtime_error(self, workspace, tmp_path):
         _, data, run1 = workspace
         rc = dispatch(["translate", "--ckpt", str(run1 / "checkpoint.bin"),
@@ -253,6 +273,28 @@ class TestInspectReps:
         report = read(out / "report.txt")
         assert "correlation_distance X-Y:" in report
         assert "collapse X:" in report
+
+
+    @pytest.mark.parametrize("count", ["1", "0", "-1"])
+    def test_too_few_sentences_is_usage_error(self, workspace, run2, tmp_path, capsys, count):
+        _, data, _ = workspace
+        rc = dispatch(["inspect-reps", "--ckpt", str(run2 / "checkpoint.bin"),
+                       "--test", f"X={data / 'X.test.txt'}", "--test", f"Y={data / 'Y.test.txt'}",
+                       "--sentences", count, "--out", str(tmp_path / "reps")])
+        assert rc == 1
+        assert "--sentences" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, message", [(0, "empty corpus"), (1, "at least 2 sentences")])
+    def test_short_test_files_are_analysis_errors(self, workspace, run2, tmp_path, capsys, lines, message):
+        _, data, _ = workspace
+        for lang in "XY":
+            head = read(data / f"{lang}.test.txt").splitlines()[:lines]
+            (tmp_path / f"{lang}.txt").write_text("".join(line + "\n" for line in head), encoding="utf-8")
+        rc = dispatch(["inspect-reps", "--ckpt", str(run2 / "checkpoint.bin"),
+                       "--test", f"X={tmp_path / 'X.txt'}", "--test", f"Y={tmp_path / 'Y.txt'}",
+                       "--out", str(tmp_path / "reps")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDispatch:

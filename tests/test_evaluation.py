@@ -87,14 +87,12 @@ class TestGrid:
         assert len(grid.to_csv().splitlines()) == 1
 
     def test_csv_row_contents(self):
-        entry = GridEntry("zeroshot", TranslationRequest("Z", "Y", "zero_shot"))
-        entry.report = corpus_bleu(["a b c d"], ["a b c d"])
+        entry = GridEntry("zeroshot", TranslationRequest("Z", "Y", "zero_shot"), corpus_bleu(["a b c d"], ["a b c d"]))
         grid = ExperimentGrid([entry])
         row = grid.to_csv().splitlines()[1]
         assert row.startswith("zeroshot,zero_shot,Z,Y,,100.0000")
 
     def test_table_renders(self):
-        entry = GridEntry("pivot", TranslationRequest("Z", "Y", "pivot", via="X"))
-        entry.report = corpus_bleu(["a b c d"], ["a b c d"])
+        entry = GridEntry("pivot", TranslationRequest("Z", "Y", "pivot", via="X"), corpus_bleu(["a b c d"], ["a b c d"]))
         table = ExperimentGrid([entry]).to_table()
         assert "pivot" in table and "Z-Y" in table and "100.00" in table

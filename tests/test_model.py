@@ -364,6 +364,15 @@ class TestCheckpoint:
         assert loaded.snapshot() == reg.snapshot()
         assert loaded.encoder("X").frozen and not loaded.decoder("X").frozen
 
+    def test_no_gradient_before_backward(self, vocab, tmp_path):
+        reg = self._registry(vocab)
+        reg.set_frozen("encoder:X", True)
+        path = tmp_path / "g.bin"
+        save_checkpoint(reg, path)
+        loaded = load_checkpoint(path, {"X": vocab})
+        for registry in (reg, loaded):
+            assert all(p.tensor.grad is None for p in registry.parameters())
+
     def test_add_language_leaves_existing_bytes(self, vocab, tmp_path):
         reg = self._registry(vocab)
         path = tmp_path / "d.bin"

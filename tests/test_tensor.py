@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,7 +122,7 @@ class TestBackward:
         w = Tensor([1.0, 2.0], requires_grad=True)
         other = Tensor([5.0], requires_grad=True)
         w.sum().backward()
-        assert np.all(other.grad == 0.0)
+        assert other.grad is None
 
     def test_non_scalar_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
@@ -161,6 +163,7 @@ OPS = {
     "sum_keepdims": lambda a, b: (a.reshape(4, 6).sum(axis=0, keepdims=True) * 2.0).sum(),
     "broadcast_add": lambda a, b: (a.reshape(4, 6) + b.reshape(4, 6).sum(axis=0, keepdims=True)).sum(),
 }
+B_ON_TAPE = {"add", "sub", "mul", "div", "matmul", "broadcast_add"}  # the others read b.data or not b
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -172,9 +175,69 @@ def test_backward_matches_finite_differences(name):
     b = Tensor(rand(rng, 24), requires_grad=True)
     loss = f(a, b)
     loss.backward()
-    fd = finite_difference_gradient(lambda: f(Tensor(a.data), Tensor(b.data)).item(), a)
-    scale = max(np.abs(fd).max(), 1e-8)
-    assert np.abs(a.grad - fd).max() / scale < 1e-3
+    assert (b.grad is not None) == (name in B_ON_TAPE)
+    for t in (a, b) if name in B_ON_TAPE else (a,):
+        fd = finite_difference_gradient(lambda: f(Tensor(a.data), Tensor(b.data)).item(), t)
+        scale = max(np.abs(fd).max(), 1e-8)
+        assert np.abs(t.grad - fd).max() / scale < 1e-3
+
+
+BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv, "matmul": operator.matmul}
+# (left shape, right shape, left requires grad, right requires grad); None is a Python scalar
+ELEMENTWISE_CASES = {
+    "broadcast_right": ((3, 4), (4,), True, True),
+    "broadcast_left": ((4,), (3, 4), True, True),
+    "scalar_right": ((3, 4), None, True, False),
+    "scalar_left": (None, (3, 4), False, True),
+    "constant_right": ((3, 4), (3, 4), True, False),
+    "constant_left": ((3, 4), (3, 4), False, True),
+}
+MATMUL_CASES = {
+    "broadcast_right": ((2, 3, 4), (4, 5), True, True),
+    "broadcast_left": ((3, 4), (2, 4, 5), True, True),
+    "constant_right": ((3, 4), (4, 5), True, False),
+    "constant_left": ((3, 4), (4, 5), False, True),
+}
+
+
+def _cases(op):
+    return MATMUL_CASES if op == "matmul" else ELEMENTWISE_CASES
+
+
+@pytest.mark.parametrize("op, case", [
+    (op, case) for op in BINARY for case in _cases(op)
+    if (op, case) != ("div", "scalar_left")  # Tensor has no __rtruediv__
+])
+def test_binary_op_gradients(op, case):
+    left, right, left_grad, right_grad = _cases(op)[case]
+    rng = np.random.default_rng(4)
+
+    def operand(shape, trainable):
+        return 1.5 if shape is None else Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=trainable)
+
+    def data(t):
+        return Tensor(t.data) if isinstance(t, Tensor) else t
+
+    x, y = operand(left, left_grad), operand(right, right_grad)
+    out = BINARY[op](x, y)
+    weights = rand(rng, *out.shape)
+    (out * weights).sum().backward()
+    for t in (x, y):
+        if not isinstance(t, Tensor):
+            continue
+        if not t.requires_grad:
+            assert t.grad is None
+            continue
+        fd = finite_difference_gradient(lambda: (BINARY[op](data(x), data(y)) * weights).sum().item(), t)
+        assert t.grad.shape == t.shape
+        assert np.abs(t.grad - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-6
+
+
+def test_first_gradient_of_negative_zero_is_positive_zero():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    (w * -0.0).sum().backward()
+    assert np.signbit(w.grad).tolist() == [False, False]
 
 
 def test_layer_norm_gradients():

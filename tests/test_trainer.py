@@ -199,12 +199,12 @@ class TestAddLanguage:
         corpus = preprocess(lines["Z"], lines["X"], vocab["Z"], vocab["X"])
         cfg = TrainingConfig(steps=5, warmup_steps=2, seed=6, dim=8, n_blocks=1,
                              n_heads=2, ff_dim=16, batch_tokens=128)
-        with pytest.raises(VocabularyMismatchError, match="incompatible"):
+        with pytest.raises(CompositionError, match="incompatible"):
             add_language(joint_registry, corpus, vocab["Z"], vocab["X"], cfg)
 
     @pytest.mark.parametrize("case, error, match", [
         ("vocabulary", VocabularyMismatchError, "differs"),
-        ("dim", VocabularyMismatchError, "incompatible"),
+        ("dim", CompositionError, "incompatible"),
         ("encoder_registered", CompositionError, "encoder:Z.*already registered"),
         ("decoder_registered", CompositionError, "decoder:Z.*already registered"),
     ])
@@ -264,3 +264,19 @@ def test_corpus_hash_sensitive_to_content(data):
     c2 = preprocess(lines["X"][:-1], lines["Y"][:-1], vocab["X"], vocab["Y"])
     assert corpus_hash(c1) != corpus_hash(c2)
     assert corpus_hash(c1) == corpus_hash(c1)
+
+
+def test_one_step_gradients_only_on_trained_parameters(data):
+    """After one step of either phase every trained parameter holds a
+    gradient and no frozen one does."""
+    lines, vocab = data
+    cfg = TrainingConfig(steps=1, warmup_steps=1, seed=5, **SMALL)
+    corpus_xy = preprocess(lines["X"], lines["Y"], vocab["X"], vocab["Y"])
+    registry, _, _ = joint_train(corpus_xy, vocab["X"], vocab["Y"], cfg)
+    assert all(p.tensor.grad is not None for p in registry.parameters())
+    corpus_zx = preprocess(lines["Z"], lines["X"], vocab["Z"], vocab["X"])
+    registry, manifest, _ = add_language(registry, corpus_zx, vocab["Z"], vocab["X"], cfg, both_directions=True)
+    assert sorted(manifest.trained_modules) == ["decoder:Z", "encoder:Z"]
+    for name, module in registry.modules.items():
+        trained = name in manifest.trained_modules
+        assert all((p.tensor.grad is not None) == trained for p in module.parameters()), name

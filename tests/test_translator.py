@@ -56,6 +56,11 @@ class TestRequest:
         with pytest.raises(CompositionError, match="via"):
             TranslationRequest("X", "Y", "pivot")
 
+    @pytest.mark.parametrize("route", ["direct", "zero_shot"])
+    def test_via_only_with_pivot(self, route):
+        with pytest.raises(CompositionError, match="via"):
+            TranslationRequest("X", "Y", route, via="Q")
+
     def test_bad_beam_width(self):
         with pytest.raises(CompositionError, match="beam width"):
             TranslationRequest("X", "Y", decode="beam", beam_width=0)
@@ -199,8 +204,6 @@ def reference_greedy(dec, enc_states, src_pad_mask, max_len):
     for row in ys[:, 1:]:
         ids = []
         for t in row:
-            if t == PAD:
-                break
             ids.append(int(t))
             if t == EOS:
                 break
@@ -317,3 +320,24 @@ def test_beam_ties_pick_lowest_token_id(width):
     out = beam_decode(dec, states, mask, width, 5)
     assert out == [4, EOS]
     assert out == reference_beam(dec, states, mask, width, 5)
+
+
+class _ChainDecoder:
+    """Emits BOS -> 5 -> PAD -> 6 -> EOS: each token is decided by the one before it."""
+
+    VOCAB = 8
+    NEXT = {BOS: 5, 5: PAD, PAD: 6, 6: EOS}
+
+    def forward(self, enc_states, src_pad_mask, tgt_input_ids, cache=None):
+        ids = np.asarray(tgt_input_ids)
+        logits = np.zeros(ids.shape + (self.VOCAB,))
+        for idx, tok in np.ndenumerate(ids):
+            logits[idx + (self.NEXT.get(int(tok), EOS),)] = 1.0
+        return Tensor(logits)
+
+
+def test_emitted_pad_kept_by_greedy_and_beam():
+    states, mask = Tensor(np.zeros((1, 2, 4))), np.zeros((1, 2), bool)
+    dec = _ChainDecoder()
+    assert greedy_decode(dec, states, mask, 10) == [[5, PAD, 6, EOS]]
+    assert beam_decode(dec, states, mask, 1, 10) == [5, PAD, 6, EOS]
