@@ -177,11 +177,11 @@ def dump_to_csv(dump: RepresentationDump) -> str:
     return "\n".join(lines) + "\n"
 
 
-def projection_to_csv(dumps: dict[str, RepresentationDump], k: int = 2) -> str:
+def projection_to_csv(dumps: dict[str, RepresentationDump]) -> str:
     """Joint PCA over all languages' vectors, exported for external plotting."""
     langs = sorted(dumps)
     stacked = np.concatenate([dumps[lang].matrix for lang in langs], axis=0)
-    coords, _ = pca_project(stacked, k)
+    coords, _ = pca_project(stacked)
     lines = ["lang,sentence_idx,x,y"]
     row = 0
     for lang in langs:

@@ -26,6 +26,8 @@ CONFIG_KEYS = {
     "seed": int, "metric": str, "metric_weight": float,
     "dim": int, "n_blocks": int, "n_heads": int, "ff_dim": int, "max_len": int,
 }
+# add-language trains no distance term, so it rejects the keys that set one
+JOINT_ONLY_KEYS = ("metric", "metric_weight")
 
 
 class UsageError(ValueError):
@@ -61,6 +63,9 @@ def build_training_config(args) -> tuple[trainer.TrainingConfig, int]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    ignored = [key for key in JOINT_ONLY_KEYS if key in values]
+    if args.command == "add-language" and ignored:
+        raise UsageError(f"add-language trains no distance term; {', '.join(ignored)} does not apply")
     max_len = values.pop("max_len", 80)
     metric = DistanceMetric(values.pop("metric", "correlation"),
                             values.pop("metric_weight", 1.0))
@@ -249,11 +254,9 @@ def cmd_inspect_reps(args) -> int:
     test_corpora = {k: v[: args.sentences] for k, v in test_corpora.items()}
     dumps = analysis.extract_representations(
         registry, test_corpora, stage=args.stage, decoder_lang=args.decoder_lang)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for lang, dump in dumps.items():
-        (out / f"reps_{lang}.csv").write_text(analysis.dump_to_csv(dump), encoding="utf-8")
-    (out / "projection.csv").write_text(analysis.projection_to_csv(dumps), encoding="utf-8")
+    # every output is computed before --out is made, so a failed report writes nothing
+    files = {f"reps_{lang}.csv": analysis.dump_to_csv(dump) for lang, dump in dumps.items()}
+    files["projection.csv"] = analysis.projection_to_csv(dumps)
     distances, indicators = analysis.representation_report(dumps)
     lines = [f"stage: {args.stage}"]
     for (a, b), d in sorted(distances.items()):
@@ -263,8 +266,12 @@ def cmd_inspect_reps(args) -> int:
         lines.append(
             f"collapse {lang}: mean_pairwise_cosine {ind.mean_pairwise_cosine:.6f} "
             f"var_mean {ind.dimension_variance_mean:.6g}")
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sys.stdout.write("\n".join(lines) + "\n")
+    files["report.txt"] = "\n".join(lines) + "\n"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    sys.stdout.write(files["report.txt"])
     return 0
 
 

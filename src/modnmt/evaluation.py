@@ -30,11 +30,6 @@ class BleuReport:
     ref_tokens: int
     smoothing: bool
 
-    def summary(self) -> str:
-        ps = "/".join(f"{p:.3f}" for p in self.precisions)
-        return (f"BLEU {self.bleu:.2f} (p {ps}, BP {self.brevity_penalty:.3f}, "
-                f"hyp {self.hyp_tokens}, ref {self.ref_tokens})")
-
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))

@@ -34,8 +34,9 @@ class Adam:
     identical before and after a step.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.98, epsilon: float = 1e-9):
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+    BETA1, BETA2, EPSILON = 0.9, 0.98, 1e-9
+
+    def __init__(self):
         self.step_count = 0
         self.first_moment: dict[str, np.ndarray] = {}
         self.second_moment: dict[str, np.ndarray] = {}
@@ -43,8 +44,8 @@ class Adam:
     def step(self, params: list[Parameter], lr: float) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - self.BETA1**t
+        bc2 = 1.0 - self.BETA2**t
         for p in params:
             g = p.tensor.grad
             if p.frozen or g is None:
@@ -57,10 +58,10 @@ class Adam:
             v = self.second_moment.get(p.name)
             if v is None:
                 v = self.second_moment[p.name] = np.zeros_like(p.tensor.data)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
             mhat = m / bc1
             vhat = v / bc2
-            p.tensor.data -= lr * mhat / (np.sqrt(vhat) + self.epsilon)
+            p.tensor.data -= lr * mhat / (np.sqrt(vhat) + self.EPSILON)

@@ -56,6 +56,8 @@ class no_grad:
 
 _GRAD_ENABLED = True
 
+LAYER_NORM_EPS = 1e-6
+
 
 class Tensor:
     """A float64 ndarray with an optional gradient tape entry."""
@@ -128,6 +130,11 @@ class Tensor:
 
         return Tensor._from_op(forward(a.data, b.data), (a, b), backward)
 
+    def _unary(self, out: np.ndarray, grad) -> "Tensor":
+        """The one rule of a single-operand op with value `out`: `grad(g)` is
+        the gradient for self given the upstream gradient `g`."""
+        return Tensor._from_op(out, (self,), lambda g: (grad(g),))
+
     def __add__(self, other):
         return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
@@ -158,86 +165,50 @@ class Tensor:
     __matmul__ = matmul
 
     def sqrt(self) -> "Tensor":
-        a = self
-        out = np.sqrt(a.data)
-
-        def backward(g):
-            return (g / (2.0 * out),)
-
-        return Tensor._from_op(out, (a,), backward)
+        out = np.sqrt(self.data)
+        return self._unary(out, lambda g: g / (2.0 * out))
 
     def relu(self) -> "Tensor":
-        a = self
-        out = np.maximum(a.data, 0.0)
-
-        def backward(g):
-            return (g * (a.data > 0.0),)
-
-        return Tensor._from_op(out, (a,), backward)
+        return self._unary(np.maximum(self.data, 0.0), lambda g: g * (self.data > 0.0))
 
     def abs(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            return (g * np.sign(a.data),)
-
-        return Tensor._from_op(np.abs(a.data), (a,), backward)
+        return self._unary(np.abs(self.data), lambda g: g * np.sign(self.data))
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        a = self
-
-        def backward(g):
-            return (g.reshape(a.shape),)
-
-        return Tensor._from_op(a.data.reshape(shape), (a,), backward)
+        return self._unary(self.data.reshape(shape), lambda g: g.reshape(self.shape))
 
     def transpose(self, *axes) -> "Tensor":
-        a = self
-
-        def backward(g):
-            return (g.transpose(np.argsort(axes)),)
-
-        return Tensor._from_op(a.data.transpose(axes), (a,), backward)
+        return self._unary(self.data.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
+        def grad(g):
             g = np.asarray(g)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.shape),)
+            return np.broadcast_to(g, self.shape)
 
-        return Tensor._from_op(out, (a,), backward)
+        return self._unary(self.data.sum(axis=axis, keepdims=keepdims), grad)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        count = a.data.size if axis is None else a.data.shape[axis]
-        return a.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- fused neural-net ops -------------------------------------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
         """Numerically stable softmax along `axis`."""
-        a = self
-        if not (-a.ndim <= axis < a.ndim):
-            raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
+        if not (-self.ndim <= axis < self.ndim):
+            raise ShapeError(f"softmax axis {axis} invalid for shape {self.shape}")
+        shifted = self.data - self.data.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         out = e / e.sum(axis=axis, keepdims=True)
+        return self._unary(out, lambda g: (g - (g * out).sum(axis=axis, keepdims=True)) * out)
 
-        def backward(g):
-            dot = (g * out).sum(axis=axis, keepdims=True)
-            return ((g - dot) * out,)
-
-        return Tensor._from_op(out, (a,), backward)
-
-    def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-6) -> "Tensor":
+    def layer_norm(self, gain: "Tensor", bias: "Tensor") -> "Tensor":
         """Normalize over the last axis, then scale and shift."""
         a = self
         n = a.data.shape[-1]
@@ -245,7 +216,7 @@ class Tensor:
         mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
         centered = a.data - mu
         var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         xhat = centered * inv
         out = xhat * gain.data + bias.data
 
@@ -282,16 +253,14 @@ class Tensor:
 
     def embedding(self, ids: np.ndarray) -> "Tensor":
         """Gather rows of a [V, D] table; self is the table."""
-        a = self
         ids = np.asarray(ids)
-        out = a.data[ids]
 
-        def backward(g):
-            da = np.zeros_like(a.data)
-            np.add.at(da, ids.reshape(-1), g.reshape(-1, a.data.shape[-1]))
-            return (da,)
+        def grad(g):
+            da = np.zeros_like(self.data)
+            np.add.at(da, ids.reshape(-1), g.reshape(-1, self.data.shape[-1]))
+            return da
 
-        return Tensor._from_op(out, (a,), backward)
+        return self._unary(self.data[ids], grad)
 
     # -- backward -------------------------------------------------------------
 
@@ -322,7 +291,6 @@ class Tensor:
                     stack.append((p, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        borrowed: set[int] = set()
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
@@ -335,25 +303,14 @@ class Tensor:
                 else:
                     node.grad += g
                 continue
+            # a gradient may be g itself or a view shared with another parent;
+            # that is safe because no op's backward writes into the g it is
+            # handed, so gradients are stored as given and added out of place
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 acc = grads.get(id(parent))
-                if acc is None:
-                    # a view / alias of g may be shared with another parent:
-                    # copy it before any in-place accumulation, and only then
-                    # if it is contiguous (most are never accumulated into)
-                    if pg is g or not pg.flags.owndata:
-                        if pg.flags.c_contiguous:
-                            borrowed.add(id(parent))
-                        else:
-                            pg = pg.copy()
-                    grads[id(parent)] = pg
-                else:
-                    if id(parent) in borrowed:
-                        borrowed.discard(id(parent))
-                        acc = grads[id(parent)] = acc.copy()
-                    acc += pg
+                grads[id(parent)] = pg if acc is None else acc + pg
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, valid_mask: np.ndarray) -> Tensor:
@@ -382,14 +339,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, valid_mask: np.ndarray) -
     losses = (lse - picked) * valid
     out = np.asarray(losses.sum() / n_valid)
 
-    def backward(g):
+    def grad(g):
         probs = np.exp(shifted)
         probs /= probs.sum(axis=-1, keepdims=True)
         probs[np.arange(n), targets] -= 1.0
         probs *= (valid / n_valid)[:, None] * g
-        return (probs,)
+        return probs
 
-    return Tensor._from_op(out, (flat,), backward)
+    return flat._unary(out, grad)
 
 
 def finite_difference_gradient(f, param: Tensor, eps: float = 1e-4) -> np.ndarray:

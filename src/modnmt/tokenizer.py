@@ -40,6 +40,20 @@ def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(word) + (EOW,)
 
 
+def _merge_pair(symbols: list[str], left: str, right: str) -> list[str]:
+    """`symbols` with every adjacent (left, right) pair replaced by left + right."""
+    merged = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
+            merged.append(left + right)
+            i += 2
+        else:
+            merged.append(symbols[i])
+            i += 1
+    return merged
+
+
 @dataclass
 class TokenizedSentence:
     ids: list[int]
@@ -76,16 +90,7 @@ class Vocabulary:
         for left, right in self.merge_table:
             if len(symbols) < 2:
                 break
-            merged = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
-                    merged.append(left + right)
-                    i += 2
-                else:
-                    merged.append(symbols[i])
-                    i += 1
-            symbols = merged
+            symbols = _merge_pair(symbols, left, right)
         ids = [self._token_to_id.get(s, UNK) for s in symbols]
         self._word_cache[word] = ids
         return ids
@@ -189,20 +194,7 @@ def learn_bpe(corpus_lines, language: str, target_vocab_size: int) -> Vocabulary
             break
         best = min(p for p, c in pair_freq.items() if c == best_count)
         merges.append(best)
-        new_symbol = best[0] + best[1]
-        for w, syms in words.items():
-            if len(syms) < 2:
-                continue
-            merged = []
-            i = 0
-            while i < len(syms):
-                if i + 1 < len(syms) and syms[i] == best[0] and syms[i + 1] == best[1]:
-                    merged.append(new_symbol)
-                    i += 2
-                else:
-                    merged.append(syms[i])
-                    i += 1
-            words[w] = merged
-        tokens.append(new_symbol)
+        words = {w: _merge_pair(syms, *best) for w, syms in words.items()}
+        tokens.append(best[0] + best[1])
 
     return Vocabulary(language=language, tokens=tokens, merge_table=merges)

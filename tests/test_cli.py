@@ -178,6 +178,35 @@ class TestAddLanguage:
                        "--out", str(tmp_path / "bad"), *SMALL_TRAIN])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", [["--metric", "l2"], ["--metric-weight", "5"]],
+                             ids=["metric", "metric_weight"])
+    def test_metric_flag_rejected(self, workspace, tmp_path, capsys, flag):
+        _, data, run1 = workspace
+        out = tmp_path / "run"
+        rc = dispatch(["add-language", "--from", str(run1 / "checkpoint.bin"),
+                       "--src-corpus", str(data / "Z.txt"), "--tgt-corpus", str(data / "X.txt"),
+                       "--new-vocab", str(data / "vocab_Z.txt"), "--shared-lang", "X",
+                       "--out", str(out), *SMALL_TRAIN, *flag])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag[0][2:].replace("-", "_") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["metric = l2", "metric_weight = 5"])
+    def test_metric_config_key_rejected(self, workspace, tmp_path, capsys, line):
+        _, data, run1 = workspace
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "run"
+        rc = dispatch(["add-language", "--config", str(cfg), "--from", str(run1 / "checkpoint.bin"),
+                       "--src-corpus", str(data / "Z.txt"), "--tgt-corpus", str(data / "X.txt"),
+                       "--new-vocab", str(data / "vocab_Z.txt"), "--shared-lang", "X",
+                       "--out", str(out), *SMALL_TRAIN])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and line.split(" ")[0] in err
+        assert not out.exists()
+
 
     def test_failed_run_writes_manifest(self, workspace, tmp_path, monkeypatch):
         _, data, run1 = workspace
@@ -295,6 +324,7 @@ class TestInspectReps:
                        "--out", str(tmp_path / "reps")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "reps").exists()
 
 
 class TestDispatch:

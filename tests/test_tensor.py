@@ -1,4 +1,5 @@
 import operator
+import zlib
 
 import numpy as np
 import pytest
@@ -141,6 +142,24 @@ class TestBackward:
         (a + a).sum().backward()
         np.testing.assert_array_equal(a.grad, [2.0, 2.0])
 
+    def test_shared_gradient_accumulates_per_parent(self):
+        # h + k hands h and k the same gradient array, and each then adds a
+        # second gradient; an add into the shared array would corrupt the other
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        h, k = a * 1.0, b * 1.0
+        ((h + k + h * 3.0 + k * 5.0) * 2.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, [8.0, 8.0])
+        np.testing.assert_array_equal(b.grad, [12.0, 12.0])
+
+    def test_second_pass_adds_into_leaf_gradient(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        (w * w).sum().backward()
+        first = w.grad
+        (w * 3.0).sum().backward()
+        assert w.grad is first
+        np.testing.assert_array_equal(w.grad, [5.0, 7.0])
+
     def test_no_grad_suppresses_tape(self):
         w = Tensor([1.0], requires_grad=True)
         with no_grad():
@@ -170,7 +189,7 @@ B_ON_TAPE = {"add", "sub", "mul", "div", "matmul", "broadcast_add"}  # the other
 def test_backward_matches_finite_differences(name):
     # relative error < 1e-3 on random small inputs (shapes <= 8)
     f = OPS[name]
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     a = Tensor(rand(rng, 24), requires_grad=True)
     b = Tensor(rand(rng, 24), requires_grad=True)
     loss = f(a, b)
@@ -232,6 +251,42 @@ def test_binary_op_gradients(op, case):
         fd = finite_difference_gradient(lambda: (BINARY[op](data(x), data(y)) * weights).sum().item(), t)
         assert t.grad.shape == t.shape
         assert np.abs(t.grad - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-6
+
+
+# (leaf shapes, the op on those leaves): the binary ops, the single-operand
+# ops and the fused ones
+READ_ONLY_CASES = {
+    "add": (((3, 4), (4,)), operator.add),
+    "sub": (((3, 4), (4,)), operator.sub),
+    "mul": (((3, 4), (4,)), operator.mul),
+    "div": (((3, 4), (4,)), operator.truediv),
+    "matmul": (((2, 3, 4), (4, 5)), operator.matmul),
+    "sqrt": (((3, 4),), Tensor.sqrt),
+    "relu": (((3, 4),), Tensor.relu),
+    "abs": (((3, 4),), Tensor.abs),
+    "reshape": (((3, 4),), lambda a: a.reshape(2, 6)),
+    "transpose": (((2, 3, 4),), lambda a: a.transpose(2, 0, 1)),
+    "sum": (((3, 4),), lambda a: a.sum(axis=0)),
+    "softmax": (((3, 4),), lambda a: a.softmax(-1)),
+    "embedding": (((5, 4),), lambda a: a.embedding(np.array([[0, 2, 2]]))),
+    "layer_norm": (((3, 4), (4,), (4,)), Tensor.layer_norm),
+    "linear": (((2, 3, 4), (4, 5), (5,)), Tensor.linear),
+    "cross_entropy": (((3, 5),), lambda a: cross_entropy(a, [1, 0, 4], [True, False, True])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY_CASES))
+def test_backward_never_writes_into_its_upstream_gradient(name):
+    # backward() shares one gradient array among parents and adds to it out of
+    # place, which is sound only while no op writes into the g it is handed
+    shapes, op = READ_ONLY_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    out = op(*(Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True) for shape in shapes))
+    g = rng.uniform(-1.0, 1.0, out.shape)
+    g.setflags(write=False)
+    grads = out._backward(g)
+    assert len(grads) == len(out._parents)
+    assert all(pg is not None for pg in grads)
 
 
 def test_first_gradient_of_negative_zero_is_positive_zero():
