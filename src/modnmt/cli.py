@@ -26,8 +26,6 @@ CONFIG_KEYS = {
     "seed": int, "metric": str, "metric_weight": float,
     "dim": int, "n_blocks": int, "n_heads": int, "ff_dim": int, "max_len": int,
 }
-# add-language trains no distance term, so it rejects the keys that set one
-JOINT_ONLY_KEYS = ("metric", "metric_weight")
 
 
 class UsageError(ValueError):
@@ -63,7 +61,7 @@ def build_training_config(args) -> tuple[trainer.TrainingConfig, int]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    ignored = [key for key in JOINT_ONLY_KEYS if key in values]
+    ignored = [key for key in trainer.JOINT_ONLY_KEYS if key in values]
     if args.command == "add-language" and ignored:
         raise UsageError(f"add-language trains no distance term; {', '.join(ignored)} does not apply")
     max_len = values.pop("max_len", 80)

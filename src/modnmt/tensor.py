@@ -8,6 +8,10 @@ as the benchmark and the test suite do.
 The op set is the minimum needed for a small transformer plus the training
 objective: broadcasting arithmetic, batched matmul, reductions, fused
 softmax / cross-entropy / layer-norm / linear, and an embedding gather.
+
+The tape holds only what gradients read: an `_Op` entry per recorded op keeps
+its operands' entries and the arrays its rule saved, never a result `Tensor`,
+and `Tensor.backward` consumes the graph, freeing each entry as it runs.
 """
 
 from __future__ import annotations
@@ -59,35 +63,41 @@ _GRAD_ENABLED = True
 LAYER_NORM_EPS = 1e-6
 
 
-class Tensor:
-    """A float64 ndarray with an optional gradient tape entry."""
+class _Op:
+    """A recorded op: per operand, `parents` holds its `_Op`, the leaf, or None off
+    the tape; `backward(g)` gives one gradient each, and is None once it has run."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward):
+        self.parents = parents
+        self.backward = backward
+
+
+class Tensor:
+    """A float64 ndarray; `_op` is its tape entry when a recorded op made it."""
+
+    __slots__ = ("data", "requires_grad", "grad", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = requires_grad
         self.grad = None  # made by the first backward pass that reaches this tensor
-        self._parents: tuple = ()
-        self._backward = None
+        self._op = None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _from_op(data: np.ndarray, parents, backward) -> "Tensor":
+    def _from_op(data: np.ndarray, operands: tuple, rule) -> "Tensor":
+        """An op's result; only if it is recorded does `rule(*on_tape)` make its backward."""
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
-        if _GRAD_ENABLED:
-            for p in parents:
-                if p.requires_grad:
-                    out.requires_grad = True
-                    out._parents = tuple(parents)
-                    out._backward = backward
-                    break
+        out.grad = out._op = None
+        on_tape = [t.requires_grad for t in operands] if _GRAD_ENABLED else ()
+        out.requires_grad = True in on_tape
+        if out.requires_grad:
+            parents = tuple([(t._op or t) if t.requires_grad else None for t in operands])
+            out._op = _Op(parents, rule(*on_tape))
         return out
 
     @property
@@ -113,54 +123,56 @@ class Tensor:
     def _coerce(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def _binary(self, other, forward, grad_a, grad_b) -> "Tensor":
+    def _binary(self, other, forward, grad_a, grad_b, reads: tuple) -> "Tensor":
         """The one rule of a broadcasting binary op on self and `other`.
 
         `forward(a, b)` is the op on the operands' data; `grad_a(g, a, b)` and
         `grad_b(g, a, b)` are each operand's raw gradient, computed only for
-        an operand that requires grad and then summed down to its shape.
+        an operand on the tape and then summed down to its shape; only the
+        operand values `reads[i]` names for the i-th formula are saved.
         """
         a, b = self, Tensor._coerce(other)
 
-        def backward(g):
-            return (
-                _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
-                _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
-            )
+        def rule(need_a, need_b):
+            saved = (reads[0] if need_a else "") + (reads[1] if need_b else "")
+            av, bv = (a.data if "a" in saved else None), (b.data if "b" in saved else None)
+            a_shape, b_shape = a.data.shape, b.data.shape
+            return lambda g: (_unbroadcast(grad_a(g, av, bv), a_shape) if need_a else None,
+                              _unbroadcast(grad_b(g, av, bv), b_shape) if need_b else None)
 
-        return Tensor._from_op(forward(a.data, b.data), (a, b), backward)
+        return Tensor._from_op(forward(a.data, b.data), (a, b), rule)
 
     def _unary(self, out: np.ndarray, grad) -> "Tensor":
-        """The one rule of a single-operand op with value `out`: `grad(g)` is
-        the gradient for self given the upstream gradient `g`."""
-        return Tensor._from_op(out, (self,), lambda g: (grad(g),))
+        """A one-operand op with value `out`; `grad(g)`, reading no Tensor, is self's gradient."""
+        return Tensor._from_op(out, (self,), lambda need: lambda g: (grad(g),))
 
     def __add__(self, other):
-        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
+        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g, ("", ""))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
+        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g, ("", ""))
 
     def __rsub__(self, other):
         return Tensor._coerce(other) - self
 
     def __mul__(self, other):
-        return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
+        return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a,
+                            ("b", "a"))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self._binary(other, np.divide, lambda g, a, b: g / b,
-                            lambda g, a, b: -g * a / (b * b))
+                            lambda g, a, b: -g * a / (b * b), ("b", "ab"))
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = Tensor._coerce(other)
         if self.shape[-1] != other.shape[-2 if other.ndim > 1 else 0]:
             raise ShapeError(f"matmul inner extents differ: {self.shape} vs {other.shape}")
         return self._binary(other, np.matmul, lambda g, a, b: g @ np.swapaxes(b, -1, -2),
-                            lambda g, a, b: np.swapaxes(a, -1, -2) @ g)
+                            lambda g, a, b: np.swapaxes(a, -1, -2) @ g, ("b", "a"))
 
     __matmul__ = matmul
 
@@ -169,15 +181,18 @@ class Tensor:
         return self._unary(out, lambda g: g / (2.0 * out))
 
     def relu(self) -> "Tensor":
-        return self._unary(np.maximum(self.data, 0.0), lambda g: g * (self.data > 0.0))
+        out = np.maximum(self.data, 0.0)  # out > 0.0 is the mask x > 0.0
+        return self._unary(out, lambda g: g * (out > 0.0))
 
     def abs(self) -> "Tensor":
-        return self._unary(np.abs(self.data), lambda g: g * np.sign(self.data))
+        x = self.data
+        return self._unary(np.abs(x), lambda g: g * np.sign(x))
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        return self._unary(self.data.reshape(shape), lambda g: g.reshape(self.shape))
+        before = self.shape
+        return self._unary(self.data.reshape(shape), lambda g: g.reshape(before))
 
     def transpose(self, *axes) -> "Tensor":
         return self._unary(self.data.transpose(axes), lambda g: g.transpose(np.argsort(axes)))
@@ -185,11 +200,12 @@ class Tensor:
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        shape = self.shape
+
         def grad(g):
-            g = np.asarray(g)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.shape)
+            return np.broadcast_to(g, shape)
 
         return self._unary(self.data.sum(axis=axis, keepdims=keepdims), grad)
 
@@ -210,27 +226,29 @@ class Tensor:
 
     def layer_norm(self, gain: "Tensor", bias: "Tensor") -> "Tensor":
         """Normalize over the last axis, then scale and shift."""
-        a = self
-        n = a.data.shape[-1]
+        n = self.data.shape[-1]
         # np.add.reduce(...) / n is ndarray.mean's arithmetic without its Python wrapper
-        mu = np.add.reduce(a.data, axis=-1, keepdims=True) / n
-        centered = a.data - mu
+        mu = np.add.reduce(self.data, axis=-1, keepdims=True) / n
+        centered = self.data - mu
         var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
         inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         xhat = centered * inv
         out = xhat * gain.data + bias.data
 
-        def backward(g):
-            gy = g * gain.data
-            m1 = np.add.reduce(gy, axis=-1, keepdims=True) / n
-            m2 = np.add.reduce(gy * xhat, axis=-1, keepdims=True) / n
-            dx = (gy - m1 - xhat * m2) * inv
-            axes = tuple(range(g.ndim - 1))
-            dgain = (g * xhat).sum(axis=axes)
-            dbias = g.sum(axis=axes)
-            return (dx, dgain, dbias)
+        gv = gain.data
 
-        return Tensor._from_op(out, (a, gain, bias), backward)
+        def rule(need_x, need_gain, need_bias):
+            def backward(g):
+                gy = g * gv
+                m1 = np.add.reduce(gy, axis=-1, keepdims=True) / n
+                m2 = np.add.reduce(gy * xhat, axis=-1, keepdims=True) / n
+                axes = tuple(range(g.ndim - 1))
+                dgain = (g * xhat).sum(axis=axes) if need_gain else None
+                dbias = g.sum(axis=axes) if need_bias else None
+                return ((gy - m1 - xhat * m2) * inv, dgain, dbias)
+            return backward
+
+        return Tensor._from_op(out, (self, gain, bias), rule)
 
     def linear(self, w: "Tensor", b: "Tensor") -> "Tensor":
         """[..., D_in] @ w [D_in, D_out] + b [D_out] as one op and one GEMM.
@@ -238,26 +256,30 @@ class Tensor:
         The arithmetic is that of reshape, matmul, add and reshape back, so
         the values and gradients are bit-identical to composing those ops.
         """
-        x = self
-        flat = x.data.reshape(-1, x.data.shape[-1])
-        out = (flat @ w.data + b.data).reshape(*x.data.shape[:-1], -1)
+        flat = self.data.reshape(-1, self.data.shape[-1])
+        out = (flat @ w.data + b.data).reshape(*self.data.shape[:-1], -1)
 
-        def backward(g):
-            g = g.reshape(flat.shape[0], -1)
-            gx = (g @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
-            gw = flat.T @ g if w.requires_grad else None
-            gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
-            return (gx, gw, gb)
+        def rule(need_x, need_w, need_b):
+            wv, xv = (w.data if need_x else None), (flat if need_w else None)
+            x_shape, b_shape = self.data.shape, b.data.shape
+            def backward(g):
+                g = g.reshape(-1, g.shape[-1])
+                gx = (g @ wv.T).reshape(x_shape) if need_x else None
+                gw = xv.T @ g if need_w else None
+                gb = _unbroadcast(g, b_shape) if need_b else None
+                return (gx, gw, gb)
+            return backward
 
-        return Tensor._from_op(out, (x, w, b), backward)
+        return Tensor._from_op(out, (self, w, b), rule)
 
     def embedding(self, ids: np.ndarray) -> "Tensor":
         """Gather rows of a [V, D] table; self is the table."""
         ids = np.asarray(ids)
+        shape = self.data.shape
 
         def grad(g):
-            da = np.zeros_like(self.data)
-            np.add.at(da, ids.reshape(-1), g.reshape(-1, self.data.shape[-1]))
+            da = np.zeros(shape)
+            np.add.at(da, ids.reshape(-1), g.reshape(-1, shape[-1]))
             return da
 
         return self._unary(self.data[ids], grad)
@@ -267,35 +289,37 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
 
-        Only valid on scalars; raises otherwise.
+        Only valid on scalars; raises otherwise. The pass consumes the graph.
         """
         if self.data.ndim != 0 and self.data.size != 1:
             raise GradientError(f"backward() requires a scalar, got shape {self.shape}")
         if not self.requires_grad:
             return
 
-        order: list[Tensor] = []
+        root = self if self._op is None else self._op
+        order: list = []  # _Op entries and leaf tensors, parents first
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node is None or id(node) in seen:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            if type(node) is _Op:
+                if node.backward is None:
+                    raise GradientError("backward() reached a graph an earlier backward() consumed")
+                stack.extend((p, False) for p in node.parents)
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:
+            if type(node) is Tensor:
                 # leaf: 0.0 + g copies the first gradient and turns any -0.0 into
                 # +0.0, the value a sum into zeros gives; later ones add into it
                 if node.grad is None:
@@ -303,11 +327,12 @@ class Tensor:
                 else:
                     node.grad += g
                 continue
+            rule, node.backward = node.backward, None
             # a gradient may be g itself or a view shared with another parent;
             # that is safe because no op's backward writes into the g it is
             # handed, so gradients are stored as given and added out of place
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
+            for parent, pg in zip(node.parents, rule(g)):
+                if parent is None:
                     continue
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg

@@ -12,7 +12,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import platform
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import ParallelCorpus, make_batches
 from .model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry, decode_teacher_forced
@@ -22,6 +26,9 @@ from .tensor import GradientError, cross_entropy
 from .tokenizer import Vocabulary
 
 LOSS_CSV_HEADER = "step,l_xx,l_yy,l_xy,l_yx,d,total,lr"
+# add-language trains no distance term, so these config keys neither apply to nor
+# are recorded by it
+JOINT_ONLY_KEYS = ("metric", "metric_weight")
 
 
 class TrainingError(RuntimeError):
@@ -92,6 +99,8 @@ class RunManifest:
                 f.write(f"failure_cause: {self.failure_cause}\n")
             for k, v in self.config.items():
                 f.write(f"config.{k}: {v}\n")
+            for k, v in environment().items():
+                f.write(f"env.{k}: {v}\n")
             for k, v in self.corpus_hashes.items():
                 f.write(f"corpus_hash.{k}: {v}\n")
             f.write("trained_modules: " + " ".join(self.trained_modules) + "\n")
@@ -100,6 +109,18 @@ class RunManifest:
                 f.write(f"metric.{k}: {v}\n")
             if self.checkpoint_path:
                 f.write(f"checkpoint: {self.checkpoint_path}\n")
+
+
+def environment() -> dict:
+    """What the bytes of a run depend on besides its config: the Python and
+    numpy versions, the BLAS numpy was built with, and the BLAS thread
+    settings this process sees."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = os.environ.get(var, "unset")
+    return env
 
 
 def corpus_hash(corpus: ParallelCorpus) -> str:
@@ -242,7 +263,7 @@ def add_language(
         registry.add(m)
     manifest = RunManifest(
         kind="add_language",
-        config=config.as_dict(),
+        config={k: v for k, v in config.as_dict().items() if k not in JOINT_ONLY_KEYS},
         corpus_hashes={f"{z}-{x}": corpus_hash(corpus_zx)},
         trained_modules=[m.name for m in trained],
         frozen_modules=existing,

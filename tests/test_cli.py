@@ -1,5 +1,7 @@
 import hashlib
+import os
 
+import numpy as np
 import pytest
 
 from modnmt.cli import UsageError, dispatch, read_config_file
@@ -107,6 +109,12 @@ class TestTrainJoint:
         assert len(loss) == 26
         manifest = read(run1 / "manifest.txt")
         assert "kind: joint" in manifest and "status: ok" in manifest
+        lines = manifest.splitlines()
+        assert f"env.numpy: {np.__version__}" in lines
+        assert any(line.startswith("env.python: 3.") for line in lines)
+        assert any(line.startswith("env.blas: ") for line in lines)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert f"env.{var}: {os.environ.get(var, 'unset')}" in lines
 
     def test_rerun_identical(self, workspace, tmp_path):
         _, data, run1 = workspace
@@ -223,6 +231,7 @@ class TestAddLanguage:
         manifest = read(out / "manifest.txt").splitlines()
         assert "kind: add_language" in manifest and "status: failed" in manifest
         assert "failure_step: 1" in manifest
+        assert any(line.startswith("env.blas: ") for line in manifest)
 
 
 class TestTranslate:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modnmt.corpus import (
     ALPHABET,
     CorpusError,
+    ParallelCorpus,
     SyntheticLanguageSpec,
     cipher_oracle_translate,
     generate_cipher_lines,
@@ -11,7 +14,7 @@ from modnmt.corpus import (
     make_cipher_spec,
     preprocess,
 )
-from modnmt.tokenizer import learn_bpe
+from modnmt.tokenizer import TokenizedSentence, learn_bpe
 
 
 def identity_spec(lang, size=16):
@@ -165,6 +168,21 @@ class TestBatches:
         corpus = preprocess(la, lb, va, vb)
         batches = make_batches(corpus, 64, seed=5)
         assert sum(b.size for b in batches) == len(corpus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                            min_size=1, max_size=40),
+           budget=st.integers(12, 120), seed=st.integers(0, 2**16))
+    def test_every_pair_in_exactly_one_batch_within_budget(self, lengths, budget, seed):
+        # each pair's ids are its index + 1, so a batch row names the pair it holds
+        pairs = [(TokenizedSentence([i + 1] * s, ""), TokenizedSentence([i + 1] * t, ""))
+                 for i, (s, t) in enumerate(lengths)]
+        rows = []
+        for b in make_batches(ParallelCorpus("A", "B", pairs), budget, seed):
+            assert b.size * max(b.src_ids.shape[1], b.tgt_ids.shape[1]) <= budget
+            rows += [(tuple(src[~src_pad]), tuple(tgt[~tgt_pad])) for src, tgt, src_pad, tgt_pad
+                     in zip(b.src_ids, b.tgt_ids, b.src_pad_mask, b.tgt_pad_mask)]
+        assert sorted(rows) == sorted((tuple(s.ids), tuple(t.ids)) for s, t in pairs)
 
     def test_unpadded_row_mask_all_false(self, tiny_setup):
         _, _, va, _ = tiny_setup

@@ -1,4 +1,5 @@
 import operator
+import weakref
 import zlib
 
 import numpy as np
@@ -284,9 +285,97 @@ def test_backward_never_writes_into_its_upstream_gradient(name):
     out = op(*(Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True) for shape in shapes))
     g = rng.uniform(-1.0, 1.0, out.shape)
     g.setflags(write=False)
-    grads = out._backward(g)
-    assert len(grads) == len(out._parents)
+    grads = out._op.backward(g)
+    assert len(grads) == len(out._op.parents)
     assert all(pg is not None for pg in grads)
+
+
+def _closure_tensors(fn) -> list:
+    """Every Tensor that `fn`'s closure reaches, through nested functions."""
+    found, todo = [], [fn]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, Tensor):
+                found.append(value)
+            elif callable(value) and hasattr(value, "__closure__"):
+                todo.append(value)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY_CASES))
+def test_tape_entry_keeps_no_result_tensor(name):
+    # operands made by an op: the entry may hold their entries, never the tensors
+    shapes, op = READ_ONLY_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    operands = [Tensor(rng.uniform(0.5, 2.0, shape), requires_grad=True) * 1.0 for shape in shapes]
+    out = op(*operands)
+    assert not any(isinstance(p, Tensor) and p._op is not None for p in out._op.parents)
+    assert all(t._op is None for t in _closure_tensors(out._op.backward))
+    with no_grad():
+        assert op(*operands)._op is None
+
+
+def test_unrecorded_op_never_calls_its_rule():
+    def rule(*on_tape):
+        raise AssertionError("rule called for an op off the tape")
+
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with no_grad():
+        assert Tensor._from_op(np.ones(2), (w,), rule)._op is None
+    assert Tensor._from_op(np.ones(2), (Tensor([1.0, 2.0]),), rule)._op is None
+
+
+def _loss(params, keep: list) -> Tensor:
+    """A loss through ops whose rules save arrays; each intermediate goes into `keep`."""
+    w, b, gain, bias = params
+    x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+    keep.append(x.linear(w, b))
+    keep.append(keep[-1].layer_norm(gain, bias))
+    keep.append(keep[-1].relu())
+    keep.append(keep[-1].softmax(-1) * keep[-1])
+    return cross_entropy(keep[-1], [0, 2, 4], [True, False, True])
+
+
+class TestTapeMemory:
+    def test_dropped_intermediate_is_freed_before_backward(self):
+        w = Tensor(np.arange(4.0), requires_grad=True)
+        y = w * 2.0
+        ref = weakref.ref(y.data)
+        loss = (y + 1.0).sum()
+        del y
+        assert ref() is None
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, np.full(4, 2.0))
+
+    def test_backward_frees_saved_arrays_and_keeps_gradients(self):
+        rng = np.random.default_rng(8)
+        shapes = ((4, 5), (5,), (5,), (5,))
+        params = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        kept = []
+        _loss(params, kept).backward()
+        expected = [p.grad.copy() for p in params]
+        for p in params:
+            p.zero_grad()
+        kept = []
+        loss = _loss(params, kept)
+        refs = [weakref.ref(t.data) for t in kept]
+        del kept
+        assert any(ref() is not None for ref in refs)  # saved by a rule
+        loss.backward()
+        assert all(ref() is None for ref in refs)
+        for p, g in zip(params, expected):
+            np.testing.assert_array_equal(p.grad, g)
+
+    def test_second_backward_raises_and_leaves_gradients(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        y = w * w
+        loss, shared = y.sum(), (y * 3.0).sum()
+        loss.backward()
+        for out in (loss, shared):
+            with pytest.raises(GradientError, match="consumed"):
+                out.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
 
 
 def test_first_gradient_of_negative_zero_is_positive_zero():

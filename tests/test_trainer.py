@@ -186,6 +186,18 @@ class TestAddLanguage:
         assert sorted(manifest.trained_modules) == ["decoder:Z", "encoder:Z"]
         assert rows[0][2] > 0.0  # l_xz reported
 
+    def test_manifest_records_distance_only_for_joint(self, data):
+        # add-language trains no distance term, so its manifest names none
+        lines, vocab = data
+        cfg = TrainingConfig(steps=2, warmup_steps=1, seed=5, **SMALL)
+        corpus_xy = preprocess(lines["X"], lines["Y"], vocab["X"], vocab["Y"])
+        registry, joint, _ = joint_train(corpus_xy, vocab["X"], vocab["Y"], cfg)
+        corpus_zx = preprocess(lines["Z"], lines["X"], vocab["Z"], vocab["X"])
+        _, added, _ = add_language(registry, corpus_zx, vocab["Z"], vocab["X"], cfg)
+        assert {"metric", "metric_weight"} <= set(joint.config)
+        assert not {"metric", "metric_weight"} & set(added.config)
+        assert added.config["steps"] == 2
+
     def test_vocabulary_hash_guard(self, data, joint_registry):
         lines, vocab = data
         wrong_x = learn_bpe(lines["X"][:10], "X", 22)
