@@ -65,9 +65,12 @@ def build_training_config(args) -> tuple[trainer.TrainingConfig, int]:
     if args.command == "add-language" and ignored:
         raise UsageError(f"add-language trains no distance term; {', '.join(ignored)} does not apply")
     max_len = values.pop("max_len", 80)
-    metric = DistanceMetric(values.pop("metric", "correlation"),
-                            values.pop("metric_weight", 1.0))
-    return trainer.TrainingConfig(metric=metric, **values), max_len
+    try:
+        metric = DistanceMetric(values.pop("metric", "correlation"),
+                                values.pop("metric_weight", 1.0))
+        return trainer.TrainingConfig(metric=metric, **values), max_len
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

@@ -131,27 +131,18 @@ def _attention(x_q: Tensor, x_kv: Tensor | None, p: dict, prefix: str, n_heads: 
                bias: np.ndarray, cache: DecoderCache | None = None) -> Tensor:
     """Multi-head attention; `bias` is an additive mask broadcast to [B,H,Tq,Tk].
 
-    With a `cache`, the key/value heads projected from `x_kv` are appended to
-    the ones it holds under `prefix`, and attention runs over all of them;
-    `x_kv` None attends over the cached heads alone.
+    With a `cache`, the keys/values projected from `x_kv` are appended to the
+    ones it holds under `prefix`, and attention runs over all of them; `x_kv`
+    None attends over the cached keys/values alone.
     """
-    b, tq, d = x_q.shape
-    dh = d // n_heads
-
-    def heads(t: Tensor) -> Tensor:
-        return t.reshape(b, t.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
-
-    q = heads(x_q.linear(p[prefix + ".wq"].tensor, p[prefix + ".bq"].tensor))
+    q = x_q.linear(p[prefix + ".wq"].tensor, p[prefix + ".bq"].tensor)
     kv = None
     if x_kv is not None:
-        kv = (heads(x_kv.linear(p[prefix + ".wk"].tensor, p[prefix + ".bk"].tensor)),
-              heads(x_kv.linear(p[prefix + ".wv"].tensor, p[prefix + ".bv"].tensor)))
+        kv = (x_kv.linear(p[prefix + ".wk"].tensor, p[prefix + ".bk"].tensor),
+              x_kv.linear(p[prefix + ".wv"].tensor, p[prefix + ".bv"].tensor))
     if cache is not None:
         kv = cache.extend(prefix, kv)
-    k, v = kv
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)) + bias
-    ctx = scores.softmax(-1) @ v
-    ctx = ctx.transpose(0, 2, 1, 3).reshape(b, tq, d)
+    ctx = q.attention(*kv, n_heads, bias)
     return ctx.linear(p[prefix + ".wo"].tensor, p[prefix + ".bo"].tensor)
 
 
@@ -199,12 +190,12 @@ class EncoderModule(_Module):
 class DecoderCache:
     """Inference state of incremental decoding through one `DecoderModule`.
 
-    Holds, per attention sublayer, the key and value heads [B, H, T, D/H]
-    attended over so far: each self-attention sublayer's grow by the
-    positions of every cached `forward` call, each cross-attention
-    sublayer's are the encoder memory's, computed once. Row i belongs to
-    batch row i of the calls. For decoding under `no_grad` only: the heads
-    grow outside the tape, so no gradient would flow through them.
+    Holds, per attention sublayer, the projected keys and values [B, T, D]
+    attended over so far, before the head split: each self-attention
+    sublayer's grow by the positions of every cached `forward` call, each
+    cross-attention sublayer's are the encoder memory's, computed once. Row i
+    belongs to batch row i of the calls. For decoding under `no_grad` only:
+    they grow outside the tape, so no gradient would flow through them.
     """
 
     def __init__(self):
@@ -212,11 +203,11 @@ class DecoderCache:
         self.kv: dict[str, tuple[Tensor, Tensor]] = {}
 
     def extend(self, name: str, kv: tuple[Tensor, Tensor] | None) -> tuple[Tensor, Tensor]:
-        """Append `kv` (None: nothing) to the heads held under `name`; return them all."""
+        """Append `kv` (None: nothing) to the positions held under `name`; return them all."""
         if kv is not None:
             old = self.kv.get(name)
             self.kv[name] = kv if old is None else tuple(
-                Tensor(np.concatenate([o.data, n.data], axis=2)) for o, n in zip(old, kv))
+                Tensor(np.concatenate([o.data, n.data], axis=1)) for o, n in zip(old, kv))
         return self.kv[name]
 
     def select(self, rows: np.ndarray) -> None:

@@ -7,16 +7,50 @@ as the benchmark and the test suite do.
 
 The op set is the minimum needed for a small transformer plus the training
 objective: broadcasting arithmetic, batched matmul, reductions, fused
-softmax / cross-entropy / layer-norm / linear, and an embedding gather.
+softmax / cross-entropy / layer-norm / linear / multi-head attention, and an
+embedding gather.
 
 The tape holds only what gradients read: an `_Op` entry per recorded op keeps
 its operands' entries and the arrays its rule saved, never a result `Tensor`,
 and `Tensor.backward` consumes the graph, freeing each entry as it runs.
+
+Because `backward` frees saved arrays while it runs, glibc's malloc would
+hand the top of the heap back to the kernel mid-pass, and the gradients
+allocated next would fault the same pages in again. Importing this module
+therefore raises glibc's mmap and trim thresholds (`HEAP`), so freed memory
+stays mapped for the next allocation; where `mallopt` is absent nothing
+changes and `HEAP` reads "default".
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+# glibc adapts its mmap threshold (from 128 kB up to 32 MB) and its trim
+# threshold (twice the mmap one) as large blocks are freed. Setting any one
+# tunable, e.g. only MALLOC_TOP_PAD_, turns that off and leaves the mmap
+# threshold at 128 kB, so every array over 128 kB gets its own mapping and
+# faults in anew; hence the mmap threshold is set to the 32 MB ceiling the
+# adaptation would reach, and only then the trim threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
+
+
+def _keep_heap_mapped() -> str:
+    """Apply both thresholds through glibc's `mallopt`; say what was applied."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return "default"
+    if mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD):
+        return f"mmap_threshold={MMAP_THRESHOLD} trim_threshold={TRIM_THRESHOLD}"
+    return "default"
+
+
+HEAP = _keep_heap_mapped()
 
 
 class GradientError(ValueError):
@@ -29,6 +63,21 @@ class ShapeError(ValueError):
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable softmax of `x` along `axis`, in a new array."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_grad(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient through a softmax whose output is `out`; `g` is only read."""
+    d = g - (g * out).sum(axis=axis, keepdims=True)
+    d *= out
+    return d
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -219,10 +268,52 @@ class Tensor:
         """Numerically stable softmax along `axis`."""
         if not (-self.ndim <= axis < self.ndim):
             raise ShapeError(f"softmax axis {axis} invalid for shape {self.shape}")
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=axis, keepdims=True)
-        return self._unary(out, lambda g: (g - (g * out).sum(axis=axis, keepdims=True)) * out)
+        out = _softmax(self.data, axis)
+        return self._unary(out, lambda g: _softmax_grad(g, out, axis))
+
+    def attention(self, k: "Tensor", v: "Tensor", n_heads: int, bias: np.ndarray) -> "Tensor":
+        """Multi-head scaled dot-product attention as one op; self is the query.
+
+        q [B,Tq,D] and k, v [B,Tk,D] are split into `n_heads` heads of D/H
+        channels; `bias`, an additive mask broadcast to [B,H,Tq,Tk], joins
+        the scaled scores before the softmax, and the heads' contexts merge
+        back to [B,Tq,D]. The numpy calls, forward and backward, are those of
+        the split, matmul, scale, add, softmax, matmul and merge ops in turn,
+        so values and gradients are bit-identical to composing them.
+        """
+        (b, tq, d), tk = self.shape, k.shape[1]
+        if d % n_heads or k.shape != (b, tk, d) or v.shape != k.shape:
+            raise ShapeError(f"attention: q {self.shape}, k {k.shape}, v {v.shape}, {n_heads} heads")
+        dh = d // n_heads
+        qh, kh, vh = (t.data.reshape(b, t.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+                      for t in (self, k, v))
+        scale = 1.0 / np.sqrt(dh)
+        scores = qh @ np.swapaxes(kh, -1, -2)
+        scores *= scale
+        scores += bias
+        probs = _softmax(scores, -1)
+        out = (probs @ vh).transpose(0, 2, 1, 3).reshape(b, tq, d)
+
+        def merge(heads: np.ndarray) -> np.ndarray:
+            return heads.transpose(0, 2, 1, 3).reshape(b, heads.shape[2], d)
+
+        def rule(need_q, need_k, need_v):
+            scores_on_tape = need_q or need_k
+            kv, qv, vv = (kh if need_q else None), (qh if need_k else None), (vh if scores_on_tape else None)
+
+            def backward(g):
+                gc = g.reshape(b, tq, n_heads, dh).transpose(0, 2, 1, 3)
+                gq = gk = None
+                if scores_on_tape:
+                    gs = _softmax_grad(gc @ np.swapaxes(vv, -1, -2), probs, -1)
+                    gs *= scale
+                    gq = merge(gs @ kv) if need_q else None
+                    gk = merge(np.swapaxes(np.swapaxes(qv, -1, -2) @ gs, -1, -2)) if need_k else None
+                gv = merge(np.swapaxes(probs, -1, -2) @ gc) if need_v else None
+                return (gq, gk, gv)
+            return backward
+
+        return Tensor._from_op(out, (self, k, v), rule)
 
     def layer_norm(self, gain: "Tensor", bias: "Tensor") -> "Tensor":
         """Normalize over the last axis, then scale and shift."""
@@ -377,18 +468,20 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, valid_mask: np.ndarray) -
 def finite_difference_gradient(f, param: Tensor, eps: float = 1e-4) -> np.ndarray:
     """Central-difference estimate of d f() / d param, per coordinate.
 
-    `f` must be a deterministic nullary function reading `param.data`.
+    `f` must be a deterministic nullary function reading `param.data`; it
+    runs under `no_grad`.
     """
     base = param.data
     grad = np.zeros_like(base)
     flat = base.reshape(-1)
     gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f())
-        flat[i] = orig - eps
-        lo = float(f())
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
+    with no_grad():  # f() is only evaluated, so no op in it needs the tape
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = float(f())
+            flat[i] = orig - eps
+            lo = float(f())
+            flat[i] = orig
+            gflat[i] = (hi - lo) / (2.0 * eps)
     return grad

@@ -22,7 +22,7 @@ from .corpus import ParallelCorpus, make_batches
 from .model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry, decode_teacher_forced
 from .objective import DistanceMetric, joint_loss
 from .optim import Adam
-from .tensor import GradientError, cross_entropy
+from .tensor import HEAP, GradientError, cross_entropy
 from .tokenizer import Vocabulary
 
 LOSS_CSV_HEADER = "step,l_xx,l_yy,l_xy,l_yx,d,total,lr"
@@ -58,8 +58,11 @@ class TrainingConfig:
     ff_dim: int = 256
 
     def __post_init__(self):
-        if self.steps < 1 or self.warmup_steps < 1:
-            raise ValueError("steps and warmup_steps must be >= 1")
+        for key in ("steps", "warmup_steps", "batch_tokens", "dim", "n_blocks", "n_heads", "ff_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.dim % self.n_heads:
+            raise ValueError(f"dim {self.dim} not divisible by {self.n_heads} heads")
 
     def as_dict(self) -> dict:
         return {
@@ -112,14 +115,15 @@ class RunManifest:
 
 
 def environment() -> dict:
-    """What the bytes of a run depend on besides its config: the Python and
-    numpy versions, the BLAS numpy was built with, and the BLAS thread
-    settings this process sees."""
+    """What the bytes and speed of a run depend on besides its config: the
+    Python and numpy versions, the BLAS numpy was built with, the BLAS thread
+    settings this process sees, and the malloc thresholds `modnmt.tensor` set."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = os.environ.get(var, "unset")
+    env["malloc"] = HEAP
     return env
 
 

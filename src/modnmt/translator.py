@@ -8,7 +8,8 @@ by lowest token id for bitwise reproducibility.
 Both decoders are incremental: each step feeds only the newest position to
 `DecoderModule.forward` with a `DecoderCache`, which keeps every block's
 self-attention keys/values and the encoder memory's cross-attention
-keys/values, so a step costs one position instead of the whole prefix.
+keys/values as projected [B, T, D] arrays, so a step costs one position
+instead of the whole prefix.
 Greedy decoding drops a row from the batch (cache, encoder states and pad
 mask) once it emits EOS; beam search runs a sentence's live hypotheses as
 one batch and reorders the cache rows by each survivor's parent.

@@ -6,6 +6,7 @@ import pytest
 
 from modnmt.cli import UsageError, dispatch, read_config_file
 from modnmt.corpus import SyntheticLanguageSpec, cipher_oracle_translate
+from modnmt.tensor import HEAP
 
 SMALL_TRAIN = [
     "--steps", "25", "--warmup-steps", "10", "--batch-tokens", "128",
@@ -115,6 +116,26 @@ class TestTrainJoint:
         assert any(line.startswith("env.blas: ") for line in lines)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert f"env.{var}: {os.environ.get(var, 'unset')}" in lines
+        assert f"env.malloc: {HEAP}" in lines
+        assert HEAP == "default" or HEAP == "mmap_threshold=33554432 trim_threshold=268435456"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dim", "0"], "dim must be >= 1"),
+        (["--steps", "0"], "steps must be >= 1"),
+        (["--metric-weight", "-1"], "weight must be nonnegative"),
+        (["--n-heads", "3", "--dim", "16"], "dim 16 not divisible by 3 heads"),
+    ], ids=["dim0", "steps0", "metric_weight_negative", "heads_indivisible"])
+    def test_bad_config_is_usage_error_before_out(self, workspace, tmp_path, capsys, argv, message):
+        _, data, _ = workspace
+        out = tmp_path / "run"
+        rc = dispatch(["train-joint",
+                       "--src-corpus", str(data / "X.txt"), "--tgt-corpus", str(data / "Y.txt"),
+                       "--src-vocab", str(data / "vocab_X.txt"), "--tgt-vocab", str(data / "vocab_Y.txt"),
+                       "--out", str(out), *SMALL_TRAIN, *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not out.exists()
 
     def test_rerun_identical(self, workspace, tmp_path):
         _, data, run1 = workspace
@@ -232,6 +253,7 @@ class TestAddLanguage:
         assert "kind: add_language" in manifest and "status: failed" in manifest
         assert "failure_step: 1" in manifest
         assert any(line.startswith("env.blas: ") for line in manifest)
+        assert f"env.malloc: {HEAP}" in manifest
 
 
 class TestTranslate:

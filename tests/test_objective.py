@@ -12,7 +12,7 @@ from modnmt.objective import (
     pairwise_distance,
 )
 from modnmt.optim import Adam
-from modnmt.tensor import ShapeError, Tensor, finite_difference_gradient
+from modnmt.tensor import ShapeError, Tensor, _Op, finite_difference_gradient
 from modnmt.tokenizer import learn_bpe
 
 
@@ -170,6 +170,22 @@ class TestJointLoss:
             opt.step(params, lr=2e-3 if step > 50 else 2e-3 * step / 50)
         assert max(bd.l_xx, bd.l_yy, bd.l_xy, bd.l_yx) < 0.01
         assert bd.total < 0.04
+
+    def test_one_step_records_266_tape_entries(self, tiny_pair):
+        # two blocks, as at the acceptance size: each of the 20 attention
+        # sublayers is 5 entries (4 linears and the fused attention)
+        vx, vy, batch = tiny_pair
+        arch = dict(dim=16, n_blocks=2, n_heads=2, ff_dim=32, seed=1)
+        mods = (EncoderModule("X", vx, **arch), DecoderModule("X", vx, **arch),
+                EncoderModule("Y", vy, **arch), DecoderModule("Y", vy, **arch))
+        _, total = joint_loss(batch, *mods, DistanceMetric())
+        seen, todo = set(), [total._op]
+        while todo:
+            op = todo.pop()
+            if id(op) not in seen:
+                seen.add(id(op))
+                todo.extend(p for p in op.parents if type(p) is _Op)
+        assert len(seen) == 266
 
     def test_dim_mismatch_rejected(self, tiny_pair):
         vx, vy, batch = tiny_pair

@@ -1,14 +1,21 @@
 import operator
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modnmt.model import NEG_INF
 from modnmt.optim import Adam, Parameter
 from modnmt.tensor import (
+    HEAP,
     GradientError,
     ShapeError,
     Tensor,
@@ -273,6 +280,8 @@ READ_ONLY_CASES = {
     "layer_norm": (((3, 4), (4,), (4,)), Tensor.layer_norm),
     "linear": (((2, 3, 4), (4, 5), (5,)), Tensor.linear),
     "cross_entropy": (((3, 5),), lambda a: cross_entropy(a, [1, 0, 4], [True, False, True])),
+    "attention": (((2, 3, 4), (2, 5, 4), (2, 5, 4)),
+                  lambda q, k, v: q.attention(k, v, 2, np.zeros((2, 1, 1, 5)))),
 }
 
 
@@ -421,6 +430,79 @@ def test_linear_equals_composed_ops(lead):
         assert fused.tobytes() == composed.tobytes()
 
 
+def _composed_attention(q, k, v, n_heads, bias):
+    """Multi-head attention written out op by op: the reference that
+    `Tensor.attention` matches byte for byte."""
+    b, tq, d = q.shape
+    dh = d // n_heads
+
+    def heads(t):
+        return t.reshape(b, t.shape[1], n_heads, dh).transpose(0, 2, 1, 3)
+
+    scores = (heads(q) @ heads(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)) + bias
+    ctx = scores.softmax(-1) @ heads(v)
+    return ctx.transpose(0, 2, 1, 3).reshape(b, tq, d)
+
+
+def _attention_bias(kind, b, tq, tk, rng):
+    if kind == "causal":  # tk - tq positions already decoded
+        return np.where(np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1), NEG_INF, 0.0)[None, None]
+    pad = rng.uniform(size=(b, tk)) < 0.3
+    pad[:, 0] = False
+    return np.where(pad[:, None, None, :], NEG_INF, 0.0)
+
+
+@pytest.mark.parametrize("on_tape", ["qkv", "kv", "q", "v"])
+@pytest.mark.parametrize("tq, tk", [(5, 5), (3, 7)], ids=["square", "tq_ne_tk"])
+@pytest.mark.parametrize("n_heads", [1, 4])
+@pytest.mark.parametrize("kind", ["causal", "padding"])
+def test_attention_equals_composed_ops(kind, n_heads, tq, tk, on_tape):
+    rng = np.random.default_rng([n_heads, tq, tk])
+    b, d = 2, 8
+    q0, k0, v0 = rand(rng, b, tq, d), rand(rng, b, tk, d), rand(rng, b, tk, d)
+    bias, weights = _attention_bias(kind, b, tq, tk, rng), rand(rng, b, tq, d)
+
+    def run(fused):
+        q, k, v = (Tensor(x.copy(), requires_grad=name in on_tape)
+                   for name, x in zip("qkv", (q0, k0, v0)))
+        out = q.attention(k, v, n_heads, bias) if fused else _composed_attention(q, k, v, n_heads, bias)
+        (out * weights).sum().backward()
+        return [out.data] + [t.grad for t in (q, k, v) if t.requires_grad]
+
+    fused, composed = run(True), run(False)
+    assert len(fused) == 1 + len(on_tape)
+    for a, c in zip(fused, composed):
+        assert a.tobytes() == c.tobytes()
+
+
+def test_attention_gradients_match_finite_differences():
+    rng = np.random.default_rng(12)
+    b, tq, tk, d, n_heads = 2, 3, 4, 4, 2
+    q, k, v = (Tensor(rand(rng, b, t, d), requires_grad=True) for t in (tq, tk, tk))
+    bias = _attention_bias("padding", b, tq, tk, rng)
+    weights = rand(rng, b, tq, d)
+
+    def f():
+        return (Tensor(q.data).attention(Tensor(k.data), Tensor(v.data), n_heads, bias) * weights).sum().item()
+
+    (q.attention(k, v, n_heads, bias) * weights).sum().backward()
+    for t in (q, k, v):
+        fd = finite_difference_gradient(f, t)
+        assert np.abs(t.grad - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-6
+
+
+@pytest.mark.parametrize("shapes, n_heads", [
+    (((2, 3, 8), (2, 5, 8), (2, 5, 8)), 3),
+    (((2, 3, 8), (2, 5, 8), (2, 4, 8)), 2),
+    (((2, 3, 8), (1, 5, 8), (1, 5, 8)), 2),
+    (((2, 3, 8), (2, 5, 4), (2, 5, 4)), 2),
+], ids=["indivisible", "k_v_lengths", "batch", "width"])
+def test_attention_rejects_mismatched_operands(shapes, n_heads):
+    q, k, v = (Tensor(np.ones(shape)) for shape in shapes)
+    with pytest.raises(ShapeError, match="attention"):
+        q.attention(k, v, n_heads, np.zeros((1, 1, 1, 1)))
+
+
 def test_embedding_gradient_scatter():
     table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     ids = np.array([[0, 2, 2]])
@@ -444,6 +526,19 @@ def test_cross_entropy_gradient_matches_fd():
 
 
 class TestFiniteDifference:
+    def test_evaluates_f_off_the_tape(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        recorded = []
+
+        def f():
+            y = x * x
+            recorded.append(y._op is not None)
+            return y.sum().item()
+
+        np.testing.assert_allclose(finite_difference_gradient(f, x), [2.0, 4.0], rtol=1e-8)
+        assert recorded == [False] * 4
+        assert (x * x)._op is not None  # the tape is back on afterwards
+
     def test_square(self):
         x = Tensor([3.0])
         grad = finite_difference_gradient(lambda: float(x.data[0] ** 2), x, eps=1e-4)
@@ -534,3 +629,34 @@ class TestAdam:
             return p.tensor.data.tobytes()
 
         assert run() == run()
+
+
+_FAULT_LOOP = textwrap.dedent("""
+    import resource
+    import sys
+    import numpy as np
+    if sys.argv[1] == "modnmt":
+        import modnmt
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(40):
+        arrays = [np.ones(1 << 20) for _ in range(4)]  # four 8 MB arrays, then freed
+        del arrays
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(HEAP == "default", reason="no glibc mallopt: the heap thresholds are not set")
+def test_importing_modnmt_keeps_freed_heap_mapped():
+    # glibc's adaptive trim threshold is twice the largest block freed (16 MB
+    # here), so freeing 32 MB at the heap top trims part of it and the next
+    # loop faults those pages back in; modnmt's 256 MB trim threshold keeps them
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def faults(mode):
+        run = subprocess.run([sys.executable, "-c", _FAULT_LOOP, mode], env=env,
+                             capture_output=True, text=True, check=True)
+        return int(run.stdout)
+
+    plain, kept = faults("numpy"), faults("modnmt")
+    assert plain > 40 * 1024  # over 4 MB of each loop faulted anew
+    assert kept * 10 < plain

@@ -54,6 +54,16 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(steps=0)
 
+    @pytest.mark.parametrize("key", ["dim", "n_blocks", "n_heads", "ff_dim", "batch_tokens"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            TrainingConfig(**{key: value})
+
+    def test_dim_indivisible_by_heads_rejected(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            TrainingConfig(dim=16, n_heads=3)
+
     def test_as_dict_round_trips_metric(self):
         cfg = TrainingConfig(metric=DistanceMetric("l2", 0.5))
         d = cfg.as_dict()
