@@ -65,6 +65,8 @@ def build_training_config(args) -> tuple[trainer.TrainingConfig, int]:
     if args.command == "add-language" and ignored:
         raise UsageError(f"add-language trains no distance term; {', '.join(ignored)} does not apply")
     max_len = values.pop("max_len", 80)
+    if max_len < 1:
+        raise UsageError(f"max_len must be >= 1, got {max_len}")
     try:
         metric = DistanceMetric(values.pop("metric", "correlation"),
                                 values.pop("metric_weight", 1.0))

@@ -1,9 +1,25 @@
 """Minimal dense-tensor library with reverse-mode autodiff.
 
 Everything is float64: two runs with the same seed and the same BLAS thread
-count must produce bit-identical parameters. Nothing here pins BLAS threads;
-the caller does, e.g. by setting OPENBLAS_NUM_THREADS=1 before numpy loads,
-as the benchmark and the test suite do.
+count must produce bit-identical parameters. Nothing here pins or changes BLAS
+threads; the caller does, e.g. by setting OPENBLAS_NUM_THREADS=1 before numpy
+loads, as the benchmark and the test suite do.
+
+`Tensor.linear`, and nothing else, shares its large GEMMs with one private
+worker thread, started on first use (`LINEAR_SPLIT`). From `SPLIT_ROWS`
+flattened rows, `x @ w` and a lone input gradient `g @ w.T` run as two row
+halves, one per thread, into one output; when both gradients are needed,
+`x.T @ g` runs whole on the worker beside `g @ w.T`. `x.T @ g` reduces over
+the rows and is never split. numpy releases the GIL inside BLAS, so the parts
+overlap, and the worker leaves BLAS threads as the caller set them.
+
+Each part is the numpy call of the unsplit op, or that call on row halves, so
+the bytes are the unsplit op's wherever a GEMM row's bits do not depend on
+how many rows share the call, the property the decoder cache's byte equality
+with a full recompute already rests on. OpenBLAS 0.3.31 keeps it at 256 to
+2100 rows for every pair of widths among 16, 24, 32, 64, 96, 128 and 256, but
+not for every shape: [M, 64] @ [64, 12] switches kernels near M = 1300, and
+[M, 32] @ [32, 8] differs at M = 256 to 300.
 
 The op set is the minimum needed for a small transformer plus the training
 objective: broadcasting arithmetic, batched matmul, reductions, fused
@@ -25,6 +41,8 @@ changes and `HEAP` reads "default".
 from __future__ import annotations
 
 import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,6 +69,39 @@ def _keep_heap_mapped() -> str:
 
 
 HEAP = _keep_heap_mapped()
+
+# Handing half a GEMM to the worker costs about 12 us, which a [256, 64] @ [64, 64]
+# product just repays; row halves of 128 or more also keep the bits (see above).
+SPLIT_ROWS = 256
+LINEAR_SPLIT = (f"rows>={SPLIT_ROWS}: x@w and lone g@w.T in row halves, "
+                "x.T@g whole beside g@w.T, on 1 worker thread")
+
+
+def _new_worker() -> None:
+    """Make the one-thread executor; its thread starts with the first task.
+
+    A forked child gets a new one: it has no copy of the worker thread, so the
+    executor it inherits would queue tasks that nothing runs.
+    """
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="modnmt-linear")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; from SPLIT_ROWS rows of `a`, the worker computes the top half."""
+    m = a.shape[0]
+    if m < SPLIT_ROWS:
+        return a @ b
+    out = np.empty((m, b.shape[1]))
+    top = _worker.submit(np.matmul, a[:m // 2], b, out=out[:m // 2])
+    np.matmul(a[m // 2:], b, out=out[m // 2:])
+    top.result()
+    return out
 
 
 class GradientError(ValueError):
@@ -345,20 +396,29 @@ class Tensor:
         """[..., D_in] @ w [D_in, D_out] + b [D_out] as one op and one GEMM.
 
         The arithmetic is that of reshape, matmul, add and reshape back, so
-        the values and gradients are bit-identical to composing those ops.
+        the values and gradients are bit-identical to composing those ops,
+        also where a large GEMM is shared with the worker thread, on the
+        shapes the module docstring names.
         """
         flat = self.data.reshape(-1, self.data.shape[-1])
-        out = (flat @ w.data + b.data).reshape(*self.data.shape[:-1], -1)
+        out = _matmul_rows(flat, w.data)
+        out += b.data
+        out = out.reshape(*self.data.shape[:-1], -1)
 
         def rule(need_x, need_w, need_b):
             wv, xv = (w.data if need_x else None), (flat if need_w else None)
             x_shape, b_shape = self.data.shape, b.data.shape
             def backward(g):
                 g = g.reshape(-1, g.shape[-1])
-                gx = (g @ wv.T).reshape(x_shape) if need_x else None
-                gw = xv.T @ g if need_w else None
+                if need_x and need_w and len(g) >= SPLIT_ROWS:
+                    gw = _worker.submit(np.matmul, xv.T, g)
+                    gx = g @ wv.T
+                    gw = gw.result()
+                else:
+                    gx = _matmul_rows(g, wv.T) if need_x else None
+                    gw = xv.T @ g if need_w else None
                 gb = _unbroadcast(g, b_shape) if need_b else None
-                return (gx, gw, gb)
+                return (gx.reshape(x_shape) if need_x else None, gw, gb)
             return backward
 
         return Tensor._from_op(out, (self, w, b), rule)

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import ParallelCorpus, make_batches
+from .corpus import CorpusError, ParallelCorpus, make_batches
 from .model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry, decode_teacher_forced
 from .objective import DistanceMetric, joint_loss
 from .optim import Adam
-from .tensor import HEAP, GradientError, cross_entropy
+from .tensor import HEAP, LINEAR_SPLIT, GradientError, cross_entropy
 from .tokenizer import Vocabulary
 
 LOSS_CSV_HEADER = "step,l_xx,l_yy,l_xy,l_yx,d,total,lr"
@@ -63,6 +63,8 @@ class TrainingConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.dim % self.n_heads:
             raise ValueError(f"dim {self.dim} not divisible by {self.n_heads} heads")
+        if not (math.isfinite(self.lr_peak) and self.lr_peak > 0):
+            raise ValueError(f"lr_peak must be finite and > 0, got {self.lr_peak}")
 
     def as_dict(self) -> dict:
         return {
@@ -117,13 +119,16 @@ class RunManifest:
 def environment() -> dict:
     """What the bytes and speed of a run depend on besides its config: the
     Python and numpy versions, the BLAS numpy was built with, the BLAS thread
-    settings this process sees, and the malloc thresholds `modnmt.tensor` set."""
+    settings this process sees, the CPUs it may run on, the malloc thresholds
+    `modnmt.tensor` set and the rule by which `Tensor.linear` splits GEMMs."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = os.environ.get(var, "unset")
+    env["cpus"] = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     env["malloc"] = HEAP
+    env["linear_split"] = LINEAR_SPLIT
     return env
 
 
@@ -144,10 +149,10 @@ def lr_schedule(step: int, warmup: int, lr_peak: float) -> float:
     return lr_peak * math.sqrt(warmup / step)
 
 
-def _epoch_batches(corpus: ParallelCorpus, batch_tokens: int, seed: int, steps: int):
-    """Exactly `steps` batches, reshuffling each epoch with seed+epoch."""
+def _epoch_batches(corpus: ParallelCorpus, batch_tokens: int, seed: int):
+    """Batches without end, reshuffling each epoch with seed+epoch."""
     epochs = (make_batches(corpus, batch_tokens, seed + epoch) for epoch in itertools.count())
-    return itertools.islice(itertools.chain.from_iterable(epochs), steps)
+    return itertools.chain.from_iterable(epochs)
 
 
 def _train(corpus: ParallelCorpus, config: TrainingConfig, manifest: RunManifest, params: list,
@@ -160,7 +165,12 @@ def _train(corpus: ParallelCorpus, config: TrainingConfig, manifest: RunManifest
     """
     optimizer = Adam()
     rows: list[list[float]] = []
-    for step, batch in enumerate(_epoch_batches(corpus, config.batch_tokens, config.seed, config.steps), start=1):
+    batches = _epoch_batches(corpus, config.batch_tokens, config.seed)
+    for step in range(1, config.steps + 1):
+        try:
+            batch = next(batches)
+        except CorpusError as err:  # an empty corpus, or a pair longer than batch_tokens
+            raise manifest.fail(f"step {step}: {err}", step) from err
         lr = lr_schedule(step, config.warmup_steps, config.lr_peak)
         if batch.size < min_batch:
             raise manifest.fail(

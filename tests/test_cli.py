@@ -6,7 +6,7 @@ import pytest
 
 from modnmt.cli import UsageError, dispatch, read_config_file
 from modnmt.corpus import SyntheticLanguageSpec, cipher_oracle_translate
-from modnmt.tensor import HEAP
+from modnmt.tensor import HEAP, LINEAR_SPLIT
 
 SMALL_TRAIN = [
     "--steps", "25", "--warmup-steps", "10", "--batch-tokens", "128",
@@ -118,13 +118,20 @@ class TestTrainJoint:
             assert f"env.{var}: {os.environ.get(var, 'unset')}" in lines
         assert f"env.malloc: {HEAP}" in lines
         assert HEAP == "default" or HEAP == "mmap_threshold=33554432 trim_threshold=268435456"
+        assert f"env.cpus: {len(os.sched_getaffinity(0))}" in lines
+        assert f"env.linear_split: {LINEAR_SPLIT}" in lines
 
     @pytest.mark.parametrize("argv, message", [
         (["--dim", "0"], "dim must be >= 1"),
         (["--steps", "0"], "steps must be >= 1"),
         (["--metric-weight", "-1"], "weight must be nonnegative"),
         (["--n-heads", "3", "--dim", "16"], "dim 16 not divisible by 3 heads"),
-    ], ids=["dim0", "steps0", "metric_weight_negative", "heads_indivisible"])
+        (["--lr-peak", "-1"], "lr_peak must be finite and > 0"),
+        (["--lr-peak", "0"], "lr_peak must be finite and > 0"),
+        (["--lr-peak", "nan"], "lr_peak must be finite and > 0"),
+        (["--max-len", "0"], "max_len must be >= 1"),
+    ], ids=["dim0", "steps0", "metric_weight_negative", "heads_indivisible",
+            "lr_peak_negative", "lr_peak0", "lr_peak_nan", "max_len0"])
     def test_bad_config_is_usage_error_before_out(self, workspace, tmp_path, capsys, argv, message):
         _, data, _ = workspace
         out = tmp_path / "run"
@@ -136,6 +143,23 @@ class TestTrainJoint:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--batch-tokens", "4"], "exceeds batch budget 4"),
+        (["--max-len", "1"], "cannot batch an empty corpus"),  # every line has 3 to 8 words
+    ], ids=["batch_tokens_below_longest_pair", "max_len_empties_corpus"])
+    def test_unbatchable_corpus_writes_failed_manifest(self, workspace, tmp_path, argv, cause):
+        _, data, _ = workspace
+        out = tmp_path / "run"
+        rc = dispatch(["train-joint",
+                       "--src-corpus", str(data / "X.txt"), "--tgt-corpus", str(data / "Y.txt"),
+                       "--src-vocab", str(data / "vocab_X.txt"), "--tgt-vocab", str(data / "vocab_Y.txt"),
+                       "--out", str(out), *SMALL_TRAIN, *argv])
+        assert rc == 2
+        manifest = read(out / "manifest.txt").splitlines()
+        assert "status: failed" in manifest and "failure_step: 1" in manifest
+        assert any(line.startswith("failure_cause:") and cause in line for line in manifest)
+        assert not (out / "checkpoint.bin").exists()
 
     def test_rerun_identical(self, workspace, tmp_path):
         _, data, run1 = workspace

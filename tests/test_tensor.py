@@ -430,6 +430,61 @@ def test_linear_equals_composed_ops(lead):
         assert fused.tobytes() == composed.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 3, 255, 256, 257, 1020, 1800])
+@pytest.mark.parametrize("d_in, d_out", [(64, 64), (64, 256), (256, 64), (64, 96), (32, 32)])
+def test_linear_split_keeps_numpy_bytes(rows, d_in, d_out):
+    # from SPLIT_ROWS rows linear shares its GEMMs with the worker thread; every
+    # value and gradient must still be the plain numpy expression's bytes
+    rng = np.random.default_rng(rows * 1000 + d_in + d_out)
+    x0, w0, b0, g = rand(rng, rows, d_in), rand(rng, d_in, d_out), rand(rng, d_out), rand(rng, rows, d_out)
+    for x_on, w_on in [(True, True), (True, False), (False, True), (False, False)]:
+        x, w, b = Tensor(x0, requires_grad=x_on), Tensor(w0, requires_grad=w_on), Tensor(b0, requires_grad=w_on)
+        out = x.linear(w, b)
+        assert out.data.tobytes() == (x0 @ w0 + b0).tobytes()
+        if x_on or w_on:
+            (out * g).sum().backward()  # linear's upstream gradient is g itself
+        grads = [None if t.grad is None else t.grad.tobytes() for t in (x, w, b)]
+        assert grads == [(g @ w0.T).tobytes() if x_on else None,
+                         (x0.T @ g).tobytes() if w_on else None,
+                         g.sum(0).tobytes() if w_on else None]
+
+
+_FORK_AFTER_WORKER = textwrap.dedent("""
+    import os
+    import threading
+    import time
+    import numpy as np
+    from modnmt.tensor import SPLIT_ROWS, Tensor
+
+    x, w, b = Tensor(np.ones((SPLIT_ROWS, 8))), Tensor(np.ones((8, 8))), Tensor(np.zeros(8))
+    x.linear(w, b)
+    assert any(t.name.startswith("modnmt-linear") for t in threading.enumerate())
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if (x.linear(w, b).data == 8.0).all() else 1)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            print(f"child exit {os.waitstatus_to_exitcode(status)}")
+            break
+        time.sleep(0.02)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        print("child timed out")
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_child_forked_after_worker_ran_splits_linear():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", _FORK_AFTER_WORKER], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "child exit 0"
+
+
 def _composed_attention(q, k, v, n_heads, bias):
     """Multi-head attention written out op by op: the reference that
     `Tensor.attention` matches byte for byte."""

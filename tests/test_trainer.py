@@ -60,6 +60,11 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match=f"{key} must be >= 1"):
             TrainingConfig(**{key: value})
 
+    @pytest.mark.parametrize("lr_peak", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_lr_peak_not_finite_and_positive_rejected(self, lr_peak):
+        with pytest.raises(ValueError, match="lr_peak must be finite and > 0"):
+            TrainingConfig(lr_peak=lr_peak)
+
     def test_dim_indivisible_by_heads_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
             TrainingConfig(dim=16, n_heads=3)
