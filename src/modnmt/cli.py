@@ -11,21 +11,18 @@ import argparse
 import contextlib
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import analysis, corpus, evaluation, tokenizer, trainer, translator
 from .model import load_checkpoint, save_checkpoint
-from .objective import METRIC_KINDS, DistanceMetric
+from .objective import METRIC_KINDS
 
 log = logging.getLogger(__name__)
 
 LANG_NAMES = ["X", "Y", "Z", "W", "V", "U", "T", "S"]
 
-CONFIG_KEYS = {
-    "steps": int, "batch_tokens": int, "lr_peak": float, "warmup_steps": int,
-    "seed": int, "metric": str, "metric_weight": float,
-    "dim": int, "n_blocks": int, "n_heads": int, "ff_dim": int, "max_len": int,
-}
+CONFIG_KEYS = {f.name: type(f.default) for f in fields(trainer.TrainingConfig)} | {"max_len": int}
 
 
 class UsageError(ValueError):
@@ -68,9 +65,7 @@ def build_training_config(args) -> tuple[trainer.TrainingConfig, int]:
     if max_len < 1:
         raise UsageError(f"max_len must be >= 1, got {max_len}")
     try:
-        metric = DistanceMetric(values.pop("metric", "correlation"),
-                                values.pop("metric_weight", 1.0))
-        return trainer.TrainingConfig(metric=metric, **values), max_len
+        return trainer.TrainingConfig(**values), max_len
     except ValueError as err:
         raise UsageError(str(err)) from None
 
@@ -107,6 +102,7 @@ def _load_run(ckpt_path):
 
 def _save_run(out: Path, registry, manifest, loss_csv: str, vocabs: dict) -> None:
     """Write a finished run: checkpoint, manifest, loss.csv and vocabularies."""
+    out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.bin"
     save_checkpoint(registry, ckpt)
     manifest.checkpoint_path = str(ckpt)
@@ -122,6 +118,7 @@ def _manifest_on_failure(out: Path):
     try:
         yield
     except trainer.TrainingError as err:
+        out.mkdir(parents=True, exist_ok=True)
         err.manifest.save(out / "manifest.txt")
         raise
 
@@ -169,7 +166,6 @@ def cmd_build_vocab(args) -> int:
 def cmd_train_joint(args) -> int:
     config, max_len = build_training_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     vocab_x = tokenizer.Vocabulary.load(args.src_vocab)
     vocab_y = tokenizer.Vocabulary.load(args.tgt_vocab)
     corp = corpus.preprocess(_read_lines(args.src_corpus), _read_lines(args.tgt_corpus),
@@ -178,14 +174,13 @@ def cmd_train_joint(args) -> int:
         registry, manifest, rows = trainer.joint_train(corp, vocab_x, vocab_y, config)
     _save_run(out, registry, manifest, trainer.loss_rows_to_csv(rows),
               {vocab_x.language: vocab_x, vocab_y.language: vocab_y})
-    log.info("joint training done; final loss %.4f", rows[-1][6])
+    log.info("joint training done; final loss %.4f", manifest.final_metrics["final_total_loss"])
     return 0
 
 
 def cmd_add_language(args) -> int:
     config, max_len = build_training_config(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     registry, vocabs = _load_run(args.from_ckpt)
     vocab_z = tokenizer.Vocabulary.load(args.new_vocab)
     lines_z = _read_lines(args.src_corpus)
@@ -199,7 +194,8 @@ def cmd_add_language(args) -> int:
             registry, corp, vocab_z, vocabs[shared], config, both_directions=args.both_directions)
     _save_run(out, registry, manifest, trainer.loss_rows_to_csv(rows, trainer.ADD_LOSS_CSV_HEADER),
               {**vocabs, vocab_z.language: vocab_z})
-    log.info("added language %s; final loss %.4f", vocab_z.language, rows[-1][3])
+    log.info("added language %s; final loss %.4f", vocab_z.language,
+             manifest.final_metrics["final_total_loss"])
     return 0
 
 

@@ -247,8 +247,7 @@ class DecoderModule(_Module):
         b, t = tgt_input_ids.shape
         if enc_states.shape[-1] != self.dim:
             raise CompositionError(
-                f"encoder dim {enc_states.shape[-1]} incompatible with {self.name} dim {self.dim}"
-            )
+                f"cannot compose dim-{enc_states.shape[-1]} encoder states with {self.name} (dim {self.dim})")
         past = cache.length if cache is not None else 0
         memory = None if cache is not None and cache.length else enc_states
         p = self.params

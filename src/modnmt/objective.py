@@ -8,6 +8,7 @@ reproduce the space-collapse failure they cause.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .corpus import Batch
@@ -27,13 +28,8 @@ class DistanceMetric:
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"unknown distance metric {self.kind!r}")
-        if self.weight < 0:
-            raise ValueError("distance weight must be nonnegative")
-
-    @property
-    def min_batch(self) -> int:
-        """Fewest sentences per batch the distance is defined on."""
-        return 2 if self.kind == "correlation" else 1
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"distance weight must be nonnegative and finite, got {self.weight}")
 
 
 @dataclass
@@ -62,7 +58,7 @@ def correlation_distance(h_x: Tensor, h_y: Tensor) -> Tensor:
     if h_x.shape != h_y.shape:
         raise ShapeError(f"representation shapes differ: {h_x.shape} vs {h_y.shape}")
     if h_x.shape[0] < 2:
-        raise ValueError("correlation distance needs at least 2 sentences per batch")
+        raise ShapeError("correlation distance needs at least 2 sentences per batch")
     cx = h_x - h_x.mean(axis=0, keepdims=True)
     cy = h_y - h_y.mean(axis=0, keepdims=True)
     num = (cx * cy).sum(axis=0)
@@ -99,11 +95,6 @@ def joint_loss(
     One batch drives all five terms: both reconstructions, both translation
     directions, and the distance on the pooled representations.
     """
-    for enc in (e_x, e_y):
-        for dec in (d_x, d_y):
-            if enc.dim != dec.dim:
-                raise ShapeError(f"dimension mismatch: {enc.name} D={enc.dim} vs {dec.name} D={dec.dim}")
-
     states_x, h_x = e_x.encode(batch.src_ids, batch.src_pad_mask)
     states_y, h_y = e_y.encode(batch.tgt_ids, batch.tgt_pad_mask)
 

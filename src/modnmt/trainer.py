@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .corpus import CorpusError, ParallelCorpus, make_batches
 from .model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry, decode_teacher_forced
 from .objective import DistanceMetric, joint_loss
 from .optim import Adam
-from .tensor import HEAP, LINEAR_SPLIT, GradientError, cross_entropy
+from .tensor import HEAP, LINEAR_SPLIT, GradientError, ShapeError, cross_entropy
 from .tokenizer import Vocabulary
 
 LOSS_CSV_HEADER = "step,l_xx,l_yy,l_xy,l_yx,d,total,lr"
@@ -51,7 +51,8 @@ class TrainingConfig:
     lr_peak: float = 1e-3
     warmup_steps: int = 200
     seed: int = 7
-    metric: DistanceMetric = field(default_factory=DistanceMetric)
+    metric: str = "correlation"
+    metric_weight: float = 1.0
     dim: int = 64
     n_blocks: int = 2
     n_heads: int = 4
@@ -65,16 +66,16 @@ class TrainingConfig:
             raise ValueError(f"dim {self.dim} not divisible by {self.n_heads} heads")
         if not (math.isfinite(self.lr_peak) and self.lr_peak > 0):
             raise ValueError(f"lr_peak must be finite and > 0, got {self.lr_peak}")
+        self.distance()
 
-    def as_dict(self) -> dict:
-        return {
-            "steps": self.steps, "batch_tokens": self.batch_tokens,
-            "lr_peak": self.lr_peak, "warmup_steps": self.warmup_steps,
-            "seed": self.seed, "metric": self.metric.kind,
-            "metric_weight": self.metric.weight,
-            "dim": self.dim, "n_blocks": self.n_blocks,
-            "n_heads": self.n_heads, "ff_dim": self.ff_dim,
-        }
+    def distance(self) -> DistanceMetric:
+        """The joint objective's distance term; raises ValueError on a bad kind or weight."""
+        return DistanceMetric(self.metric, self.metric_weight)
+
+    def build(self, cls, language: str, vocab: Vocabulary):
+        """A fresh `cls` module of this config's architecture, seeded by `seed`."""
+        return cls(language, vocab, dim=self.dim, n_blocks=self.n_blocks, n_heads=self.n_heads,
+                   ff_dim=self.ff_dim, seed=self.seed)
 
 
 @dataclass
@@ -156,12 +157,15 @@ def _epoch_batches(corpus: ParallelCorpus, batch_tokens: int, seed: int):
 
 
 def _train(corpus: ParallelCorpus, config: TrainingConfig, manifest: RunManifest, params: list,
-           step_loss, min_batch: int = 1) -> list[list[float]]:
+           step_loss) -> list[list[float]]:
     """The step loop both phases share; returns one row per step.
 
     `step_loss(batch)` returns the step's total loss Tensor and the values
     of its row between the step number and the learning rate, the total
-    last. Only `params` have their gradients cleared and are updated.
+    last. Only `params` have their gradients cleared and are updated. The
+    run fails at the step where a batch cannot be made (an empty corpus, a
+    pair longer than batch_tokens) or scored (one row under the correlation
+    distance), or where the loss or a gradient is not finite.
     """
     optimizer = Adam()
     rows: list[list[float]] = []
@@ -169,23 +173,16 @@ def _train(corpus: ParallelCorpus, config: TrainingConfig, manifest: RunManifest
     for step in range(1, config.steps + 1):
         try:
             batch = next(batches)
-        except CorpusError as err:  # an empty corpus, or a pair longer than batch_tokens
-            raise manifest.fail(f"step {step}: {err}", step) from err
-        lr = lr_schedule(step, config.warmup_steps, config.lr_peak)
-        if batch.size < min_batch:
-            raise manifest.fail(
-                f"step {step}: a batch of {batch.size} sentence(s), but the {config.metric.kind} "
-                f"distance needs at least {min_batch}; raise batch_tokens", step)
-        for p in params:
-            p.tensor.zero_grad()
-        total, values = step_loss(batch)
-        if not math.isfinite(values[-1]):
-            raise manifest.fail(f"non-finite loss at step {step}", step)
-        total.backward()
-        try:
+            lr = lr_schedule(step, config.warmup_steps, config.lr_peak)
+            for p in params:
+                p.tensor.zero_grad()
+            total, values = step_loss(batch)
+            if not math.isfinite(values[-1]):
+                raise GradientError("non-finite loss")
+            total.backward()
             optimizer.step(params, lr)
-        except GradientError as err:
-            raise manifest.fail(str(err), step) from err
+        except (CorpusError, GradientError, ShapeError) as err:
+            raise manifest.fail(f"step {step}: {err}", step) from err
         rows.append([step, *values, lr])
     manifest.final_metrics["final_total_loss"] = rows[-1][-2]
     return rows
@@ -204,28 +201,27 @@ def joint_train(
     rows matching LOSS_CSV_HEADER.
     """
     x, y = corpus.src_lang, corpus.tgt_lang
-    arch = dict(dim=config.dim, n_blocks=config.n_blocks, n_heads=config.n_heads,
-                ff_dim=config.ff_dim, seed=config.seed)
     registry = ModuleRegistry()
-    e_x = EncoderModule(x, vocab_x, **arch)
-    d_x = DecoderModule(x, vocab_x, **arch)
-    e_y = EncoderModule(y, vocab_y, **arch)
-    d_y = DecoderModule(y, vocab_y, **arch)
+    e_x = config.build(EncoderModule, x, vocab_x)
+    d_x = config.build(DecoderModule, x, vocab_x)
+    e_y = config.build(EncoderModule, y, vocab_y)
+    d_y = config.build(DecoderModule, y, vocab_y)
     for m in (e_x, d_x, e_y, d_y):
         registry.add(m)
+    metric = config.distance()
     manifest = RunManifest(
         kind="joint",
-        config=config.as_dict(),
+        config=asdict(config),
         corpus_hashes={f"{x}-{y}": corpus_hash(corpus)},
         trained_modules=sorted(registry.modules),
         frozen_modules=[],
     )
 
     def step_loss(batch):
-        breakdown, total = joint_loss(batch, e_x, d_x, e_y, d_y, config.metric)
+        breakdown, total = joint_loss(batch, e_x, d_x, e_y, d_y, metric)
         return total, breakdown.as_csv_row()
 
-    rows = _train(corpus, config, manifest, registry.parameters(), step_loss, config.metric.min_batch)
+    rows = _train(corpus, config, manifest, registry.parameters(), step_loss)
     return registry, manifest, rows
 
 
@@ -261,10 +257,8 @@ def add_language(
         raise CompositionError(
             f"configured dim {config.dim} incompatible with frozen decoder dim {d_x.dim}"
         )
-    arch = dict(dim=config.dim, n_blocks=config.n_blocks, n_heads=config.n_heads,
-                ff_dim=config.ff_dim, seed=config.seed)
-    e_z = EncoderModule(z, vocab_z, **arch)
-    d_z = DecoderModule(z, vocab_z, **arch) if both_directions else None
+    e_z = config.build(EncoderModule, z, vocab_z)
+    d_z = config.build(DecoderModule, z, vocab_z) if both_directions else None
     trained = [m for m in (e_z, d_z) if m is not None]
     for m in trained:
         if m.name in registry.modules:
@@ -277,7 +271,7 @@ def add_language(
         registry.add(m)
     manifest = RunManifest(
         kind="add_language",
-        config={k: v for k, v in config.as_dict().items() if k not in JOINT_ONLY_KEYS},
+        config={k: v for k, v in asdict(config).items() if k not in JOINT_ONLY_KEYS},
         corpus_hashes={f"{z}-{x}": corpus_hash(corpus_zx)},
         trained_modules=[m.name for m in trained],
         frozen_modules=existing,

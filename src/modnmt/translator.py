@@ -136,18 +136,8 @@ def beam_decode(dec: DecoderModule, enc_states, src_pad_mask, width: int, max_le
     return best[0][1:]
 
 
-def _resolve_pair(registry: ModuleRegistry, src_lang: str, tgt_lang: str):
-    enc = registry.encoder(src_lang)
-    dec = registry.decoder(tgt_lang)
-    if enc.dim != dec.dim:
-        raise CompositionError(
-            f"cannot compose {enc.name} (D={enc.dim}) with {dec.name} (D={dec.dim})"
-        )
-    return enc, dec
-
-
 def _translate_block(registry, request, lines: list[str]) -> list[str]:
-    enc, dec = _resolve_pair(registry, request.src_lang, request.tgt_lang)
+    enc, dec = registry.encoder(request.src_lang), registry.decoder(request.tgt_lang)
     sentences = [enc.vocab.encode(normalize(line)) for line in lines]
     ids, mask = pad_block(sentences)
     with no_grad():

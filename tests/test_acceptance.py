@@ -28,7 +28,7 @@ from modnmt.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from modnmt.objective import DistanceMetric, correlation_distance
+from modnmt.objective import correlation_distance
 from modnmt.tensor import Tensor, cross_entropy, finite_difference_gradient
 from modnmt.tokenizer import learn_bpe
 from modnmt.trainer import TrainingConfig, add_language, joint_train
@@ -153,7 +153,7 @@ def test_criterion_3_loss_additivity(data):
     _, lines, _, vocab = data
     corpus = preprocess(lines["X"][:200], lines["Y"][:200], vocab["X"], vocab["Y"])
     config = TrainingConfig(steps=200, batch_tokens=256, warmup_steps=50, seed=3,
-                            metric=DistanceMetric("correlation", 1.0),
+                            metric="correlation", metric_weight=1.0,
                             dim=16, n_blocks=1, n_heads=2, ff_dim=32)
     _, _, rows = joint_train(corpus, vocab["X"], vocab["Y"], config)
     assert len(rows) == 200
@@ -281,7 +281,7 @@ def test_criterion_9_collapse(data):
 
     def run(kind):
         config = TrainingConfig(steps=2000, batch_tokens=256, warmup_steps=200, seed=7,
-                                metric=DistanceMetric(kind, 1.0),
+                                metric=kind, metric_weight=1.0,
                                 dim=32, n_blocks=2, n_heads=4, ff_dim=128)
         registry, _, _ = joint_train(corpus, vx, vy, config)
         dumps = extract_representations(registry, sample)

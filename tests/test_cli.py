@@ -1,12 +1,14 @@
 import hashlib
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from modnmt.cli import UsageError, dispatch, read_config_file
+from modnmt.cli import UsageError, build_parser, dispatch, read_config_file
 from modnmt.corpus import SyntheticLanguageSpec, cipher_oracle_translate
 from modnmt.tensor import HEAP, LINEAR_SPLIT
+from modnmt.trainer import TrainingConfig
 
 SMALL_TRAIN = [
     "--steps", "25", "--warmup-steps", "10", "--batch-tokens", "128",
@@ -100,6 +102,44 @@ class TestConfigFile:
         assert "config.steps: 25" in read(out / "manifest.txt")
 
 
+class TestConfigSurface:
+    """The settable values are TrainingConfig's fields plus max_len, each a
+    flag of both training subcommands and a config key, typed as its default."""
+
+    DEFAULTS = {f.name: f.default for f in fields(TrainingConfig)} | {"max_len": 80}
+    REQUIRED = {
+        "train-joint": ["--src-corpus", "x", "--tgt-corpus", "y", "--src-vocab", "vx",
+                        "--tgt-vocab", "vy", "--out", "run"],
+        "add-language": ["--from", "c", "--src-corpus", "z", "--tgt-corpus", "x",
+                         "--new-vocab", "vz", "--shared-lang", "X", "--out", "run"],
+    }
+
+    @pytest.mark.parametrize("command", ["train-joint", "add-language"])
+    def test_every_value_is_a_flag(self, command):
+        argv = [command, *self.REQUIRED[command]]
+        for key, default in self.DEFAULTS.items():
+            argv += ["--" + key.replace("_", "-"), str(default)]
+        args = build_parser().parse_args(argv)
+        for key, default in self.DEFAULTS.items():
+            value = getattr(args, key)
+            assert type(value) is type(default) and value == default, key
+
+    def test_every_value_is_a_config_key(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{key} = {default}\n" for key, default in self.DEFAULTS.items()))
+        values = read_config_file(cfg)
+        assert list(values) == list(self.DEFAULTS)
+        for key, default in self.DEFAULTS.items():
+            assert type(values[key]) is type(default) and values[key] == default, key
+
+    def test_joint_manifest_config_order(self, workspace):
+        _, _, run1 = workspace
+        keys = [line.split(":")[0][len("config."):] for line in read(run1 / "manifest.txt").splitlines()
+                if line.startswith("config.")]
+        assert keys == ["steps", "batch_tokens", "lr_peak", "warmup_steps", "seed", "metric",
+                        "metric_weight", "dim", "n_blocks", "n_heads", "ff_dim"]
+
+
 class TestTrainJoint:
     def test_artifacts(self, workspace):
         _, _, run1 = workspace
@@ -125,12 +165,15 @@ class TestTrainJoint:
         (["--dim", "0"], "dim must be >= 1"),
         (["--steps", "0"], "steps must be >= 1"),
         (["--metric-weight", "-1"], "weight must be nonnegative"),
+        (["--metric-weight", "nan"], "weight must be nonnegative"),
+        (["--metric-weight", "inf"], "weight must be nonnegative"),
         (["--n-heads", "3", "--dim", "16"], "dim 16 not divisible by 3 heads"),
         (["--lr-peak", "-1"], "lr_peak must be finite and > 0"),
         (["--lr-peak", "0"], "lr_peak must be finite and > 0"),
         (["--lr-peak", "nan"], "lr_peak must be finite and > 0"),
         (["--max-len", "0"], "max_len must be >= 1"),
-    ], ids=["dim0", "steps0", "metric_weight_negative", "heads_indivisible",
+    ], ids=["dim0", "steps0", "metric_weight_negative", "metric_weight_nan", "metric_weight_inf",
+            "heads_indivisible",
             "lr_peak_negative", "lr_peak0", "lr_peak_nan", "max_len0"])
     def test_bad_config_is_usage_error_before_out(self, workspace, tmp_path, capsys, argv, message):
         _, data, _ = workspace
@@ -160,6 +203,19 @@ class TestTrainJoint:
         assert "status: failed" in manifest and "failure_step: 1" in manifest
         assert any(line.startswith("failure_cause:") and cause in line for line in manifest)
         assert not (out / "checkpoint.bin").exists()
+
+    def test_misaligned_corpora_create_no_out(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        short = tmp_path / "Y79.txt"
+        short.write_text("".join(read(data / "Y.txt").splitlines(keepends=True)[:79]), encoding="utf-8")
+        out = tmp_path / "run"
+        rc = dispatch(["train-joint",
+                       "--src-corpus", str(data / "X.txt"), "--tgt-corpus", str(short),
+                       "--src-vocab", str(data / "vocab_X.txt"), "--tgt-vocab", str(data / "vocab_Y.txt"),
+                       "--out", str(out), *SMALL_TRAIN])
+        assert rc == 2
+        assert "alignment error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_identical(self, workspace, tmp_path):
         _, data, run1 = workspace
@@ -230,6 +286,18 @@ class TestAddLanguage:
                        "--new-vocab", str(data / "vocab_Z.txt"), "--shared-lang", "Q",
                        "--out", str(tmp_path / "bad"), *SMALL_TRAIN])
         assert rc == 1
+        assert not (tmp_path / "bad").exists()
+
+    def test_dim_unlike_checkpoint_creates_no_out(self, workspace, tmp_path, capsys):
+        _, data, run1 = workspace
+        out = tmp_path / "run"
+        rc = dispatch(["add-language", "--from", str(run1 / "checkpoint.bin"),
+                       "--src-corpus", str(data / "Z.txt"), "--tgt-corpus", str(data / "X.txt"),
+                       "--new-vocab", str(data / "vocab_Z.txt"), "--shared-lang", "X",
+                       "--out", str(out), *SMALL_TRAIN, "--dim", "32"])
+        assert rc == 2
+        assert "incompatible with frozen decoder dim 16" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--metric", "l2"], ["--metric-weight", "5"]],
                              ids=["metric", "metric_weight"])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modnmt.corpus import make_batches, preprocess
-from modnmt.model import DecoderModule, EncoderModule
+from modnmt.model import CompositionError, DecoderModule, EncoderModule
 from modnmt.objective import (
     DistanceMetric,
     correlation_distance,
@@ -191,5 +191,5 @@ class TestJointLoss:
         vx, vy, batch = tiny_pair
         e_x, d_x, e_y, _ = make_modules(vx, vy)
         d_y_small = DecoderModule("Y", vy, dim=8, n_blocks=1, n_heads=2, ff_dim=16, seed=1)
-        with pytest.raises(ShapeError, match="mismatch"):
+        with pytest.raises(CompositionError, match="compose"):
             joint_loss(batch, e_x, d_x, e_y, d_y_small, DistanceMetric())

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from modnmt.corpus import (
     preprocess,
 )
 from modnmt.model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry
-from modnmt.objective import DistanceMetric
 from modnmt.tokenizer import learn_bpe
 from modnmt.trainer import (
     ADD_LOSS_CSV_HEADER,
@@ -70,8 +71,8 @@ class TestTrainingConfig:
             TrainingConfig(dim=16, n_heads=3)
 
     def test_as_dict_round_trips_metric(self):
-        cfg = TrainingConfig(metric=DistanceMetric("l2", 0.5))
-        d = cfg.as_dict()
+        cfg = TrainingConfig(metric="l2", metric_weight=0.5)
+        d = asdict(cfg)
         assert d["metric"] == "l2" and d["metric_weight"] == 0.5
 
 
@@ -93,7 +94,7 @@ class TestJointTrain:
         lines, vocab = data
         corpus = preprocess(lines["X"], lines["Y"], vocab["X"], vocab["Y"])
         cfg = TrainingConfig(steps=25, warmup_steps=10, seed=5,
-                             metric=DistanceMetric("correlation", 0.7), **SMALL)
+                             metric="correlation", metric_weight=0.7, **SMALL)
         _, _, rows = joint_train(corpus, vocab["X"], vocab["Y"], cfg)
         for step, l_xx, l_yy, l_xy, l_yx, d, total, _lr in rows:
             assert total == l_xx + l_yy + l_xy + l_yx + 0.7 * d
@@ -159,7 +160,7 @@ class TestOneRowBatch:
 
     def test_l2_trains_on_one_row(self):
         corpus, vx, vy = one_row_batch_corpus()
-        cfg = TrainingConfig(steps=3, warmup_steps=2, seed=7, metric=DistanceMetric("l2"),
+        cfg = TrainingConfig(steps=3, warmup_steps=2, seed=7, metric="l2",
                              **{**SMALL, "batch_tokens": 25})
         _, manifest, rows = joint_train(corpus, vx, vy, cfg)
         assert manifest.status == "ok" and len(rows) == 3
