@@ -8,6 +8,7 @@ a 2-D PCA projection for external plotting.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .model import ModuleRegistry
 from .objective import correlation_distance
 from .tensor import Tensor, no_grad
 from .tokenizer import normalize
+from .translator import CHUNK
 
 DEFAULT_SENTENCE_COUNT = 130  # diagnostic sample size for reports
 
@@ -47,7 +49,6 @@ def extract_representations(
     corpus_multi: dict[str, list[str]],
     stage: str = "encoder_final",
     decoder_lang: str | None = None,
-    chunk: int = 64,
 ) -> dict[str, RepresentationDump]:
     """Pooled sentence vectors per language over a multi-way parallel corpus.
 
@@ -56,7 +57,7 @@ def extract_representations(
     reference lines and pool the requested block's states over non-pad
     target positions.
     """
-    if stage != "encoder_final" and not stage.startswith("decoder_block_"):
+    if stage != "encoder_final" and not re.fullmatch(r"decoder_block_(\d+|last)", stage):
         raise AnalysisError(f"unknown stage {stage!r}")
     counts = {len(lines) for lines in corpus_multi.values()}
     if len(counts) != 1:
@@ -81,14 +82,14 @@ def extract_representations(
         enc = registry.encoder(lang)
         vectors = []
         with no_grad():
-            for lo in range(0, len(lines), chunk):
-                ids, mask = pad_block([enc.vocab.encode(normalize(line)) for line in lines[lo : lo + chunk]])
+            for lo in range(0, len(lines), CHUNK):
+                ids, mask = pad_block([enc.vocab.encode(normalize(line)) for line in lines[lo : lo + CHUNK]])
                 states, h = enc.encode(ids, mask)
                 if stage == "encoder_final":
                     vectors.append(h.data)
                 else:
                     tgt_ids, tgt_mask = pad_block(
-                        [dec.vocab.encode(normalize(line)) for line in ref_lines[lo : lo + chunk]])
+                        [dec.vocab.encode(normalize(line)) for line in ref_lines[lo : lo + CHUNK]])
                     _, blocks = dec.forward(states, mask, tgt_ids[:, :-1], return_blocks=True)
                     bstates = blocks[block_idx].data
                     keep = (~tgt_mask[:, 1:]).astype(np.float64)

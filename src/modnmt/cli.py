@@ -131,6 +131,10 @@ def cmd_gen_data(args) -> int:
         raise UsageError(f"--langs must be between 1 and {len(LANG_NAMES)}")
     if not 0 <= args.len_min <= args.len_max:
         raise UsageError("need 0 <= --len-min <= --len-max")
+    if not 1 <= args.base_vocab <= len(corpus.ALPHABET):
+        raise UsageError(f"--base-vocab must be between 1 and {len(corpus.ALPHABET)}")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     langs = LANG_NAMES[: args.langs]
@@ -156,7 +160,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    lines = corpus.normalize_lines(_read_lines(args.corpus))
+    lines = [tokenizer.normalize(line) for line in _read_lines(args.corpus)]
     vocab = tokenizer.learn_bpe(lines, args.language, args.size)
     vocab.save(args.out)
     log.info("vocabulary %s: %d tokens, %d merges", args.language, len(vocab), len(vocab.merge_table))
@@ -237,6 +241,9 @@ def cmd_evaluate(args) -> int:
         if len(fields) not in (4, 5):
             raise UsageError(f"{args.grid}:{lineno}: expected label,route,src,tgt[,via]")
         label, route, src, tgt = fields[:4]
+        for lang in (src, tgt):
+            if lang not in test_corpora:
+                raise UsageError(f"{args.grid}:{lineno}: no --test lines for language {lang!r}")
         via = fields[4] if len(fields) == 5 else None
         directions.append((label, translator.TranslationRequest(src, tgt, route, via=via)))
     grid = evaluation.experiment_grid(registry, directions, test_corpora)
@@ -322,7 +329,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--route", choices=translator.ROUTES, default="direct")
     p.add_argument("--via")
-    p.add_argument("--decode", choices=("greedy", "beam"), default="greedy")
+    p.add_argument("--decode", choices=translator.DECODES, default="greedy")
     p.add_argument("--width", type=int, default=4)
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)

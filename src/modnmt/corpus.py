@@ -153,10 +153,6 @@ def cipher_oracle_translate(
     return " ".join(out)
 
 
-def normalize_lines(lines) -> list[str]:
-    return [normalize(line) for line in lines]
-
-
 def preprocess(
     lines_src,
     lines_tgt,

@@ -193,14 +193,16 @@ class DecoderCache:
     Holds, per attention sublayer, the projected keys and values [B, T, D]
     attended over so far, before the head split: each self-attention
     sublayer's grow by the positions of every cached `forward` call, each
-    cross-attention sublayer's are the encoder memory's, computed once. Row i
-    belongs to batch row i of the calls. For decoding under `no_grad` only:
-    they grow outside the tape, so no gradient would flow through them.
+    cross-attention sublayer's are the encoder memory's, computed once with
+    its source-key bias `cross_bias`. Row i belongs to batch row i of the
+    calls. For decoding under `no_grad` only: they grow outside the tape, so
+    no gradient would flow through them.
     """
 
     def __init__(self):
         self.length = 0
         self.kv: dict[str, tuple[Tensor, Tensor]] = {}
+        self.cross_bias: np.ndarray | None = None
 
     def extend(self, name: str, kv: tuple[Tensor, Tensor] | None) -> tuple[Tensor, Tensor]:
         """Append `kv` (None: nothing) to the positions held under `name`; return them all."""
@@ -213,6 +215,8 @@ class DecoderCache:
     def select(self, rows: np.ndarray) -> None:
         """Keep the batch rows `rows` (a boolean mask or indices, which may repeat) in that order."""
         self.kv = {name: (Tensor(k.data[rows]), Tensor(v.data[rows])) for name, (k, v) in self.kv.items()}
+        if self.cross_bias is not None:
+            self.cross_bias = self.cross_bias[rows]
 
 
 class DecoderModule(_Module):
@@ -240,8 +244,8 @@ class DecoderModule(_Module):
         With a `cache`, `tgt_input_ids` holds only the positions after the
         `cache.length` ones already decoded; their logits equal the matching
         positions of one pass over the whole prefix. The first such call also
-        caches the cross-attention keys and values of `enc_states`, which
-        later calls reuse.
+        caches the cross-attention keys and values of `enc_states` and the
+        source-key bias of `src_pad_mask`; later calls read neither's rows.
         """
         tgt_input_ids = np.asarray(tgt_input_ids)
         b, t = tgt_input_ids.shape
@@ -249,11 +253,12 @@ class DecoderModule(_Module):
             raise CompositionError(
                 f"cannot compose dim-{enc_states.shape[-1]} encoder states with {self.name} (dim {self.dim})")
         past = cache.length if cache is not None else 0
-        memory = None if cache is not None and cache.length else enc_states
+        memory = None if past else enc_states
         p = self.params
         x = self._embed(tgt_input_ids, past)
         causal = np.where(np.triu(np.ones((t, past + t), dtype=bool), k=past + 1), NEG_INF, 0.0)[None, None]
-        cross_bias = np.where(np.asarray(src_pad_mask, dtype=bool)[:, None, None, :], NEG_INF, 0.0)
+        cross_bias = (cache.cross_bias if past else
+                      np.where(np.asarray(src_pad_mask, dtype=bool)[:, None, None, :], NEG_INF, 0.0))
         block_states = []
         for blk in range(self.n_blocks):
             pre = f"block{blk}"
@@ -265,6 +270,7 @@ class DecoderModule(_Module):
             block_states.append(x)
         if cache is not None:
             cache.length += t
+            cache.cross_bias = cross_bias
         x = _layer_norm(x, p, "ln_final")
         logits = x.linear(p["out_proj.w"].tensor, p["out_proj.b"].tensor)
         if return_blocks:
@@ -300,9 +306,6 @@ class ModuleRegistry:
 
     def decoder(self, language: str) -> DecoderModule:
         return self.get(f"decoder:{language}")
-
-    def set_frozen(self, name: str, frozen: bool) -> None:
-        self.get(name).set_frozen(frozen)
 
     def parameters(self) -> list[Parameter]:
         out = []

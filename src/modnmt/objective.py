@@ -95,22 +95,19 @@ def joint_loss(
     One batch drives all five terms: both reconstructions, both translation
     directions, and the distance on the pooled representations.
     """
-    states_x, h_x = e_x.encode(batch.src_ids, batch.src_pad_mask)
-    states_y, h_y = e_y.encode(batch.tgt_ids, batch.tgt_pad_mask)
+    x, y = (batch.src_ids, batch.src_pad_mask), (batch.tgt_ids, batch.tgt_pad_mask)
+    states_x, h_x = e_x.encode(*x)
+    states_y, h_y = e_y.encode(*y)
 
-    x_targets = batch.src_ids[:, 1:]
-    y_targets = batch.tgt_ids[:, 1:]
-    x_valid = ~batch.src_pad_mask[:, 1:]
-    y_valid = ~batch.tgt_pad_mask[:, 1:]
+    def teacher_forced(dec, states, src, tgt):
+        """Cross-entropy of `dec` on side `tgt`'s ids, reading `states` encoded from side `src`."""
+        ids, mask = tgt
+        return cross_entropy(decode_teacher_forced(dec, states, src[1], ids), ids[:, 1:], ~mask[:, 1:])
 
-    l_xx = cross_entropy(decode_teacher_forced(d_x, states_x, batch.src_pad_mask, batch.src_ids),
-                         x_targets, x_valid)
-    l_yy = cross_entropy(decode_teacher_forced(d_y, states_y, batch.tgt_pad_mask, batch.tgt_ids),
-                         y_targets, y_valid)
-    l_xy = cross_entropy(decode_teacher_forced(d_y, states_x, batch.src_pad_mask, batch.tgt_ids),
-                         y_targets, y_valid)
-    l_yx = cross_entropy(decode_teacher_forced(d_x, states_y, batch.tgt_pad_mask, batch.src_ids),
-                         x_targets, x_valid)
+    l_xx = teacher_forced(d_x, states_x, x, x)
+    l_yy = teacher_forced(d_y, states_y, y, y)
+    l_xy = teacher_forced(d_y, states_x, x, y)
+    l_yx = teacher_forced(d_x, states_y, y, x)
     dist = pairwise_distance(metric.kind, h_x, h_y)
 
     total = l_xx + l_yy + l_xy + l_yx + metric.weight * dist

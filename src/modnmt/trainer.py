@@ -62,15 +62,13 @@ class TrainingConfig:
         for key in ("steps", "warmup_steps", "batch_tokens", "dim", "n_blocks", "n_heads", "ff_dim"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dim % self.n_heads:
             raise ValueError(f"dim {self.dim} not divisible by {self.n_heads} heads")
         if not (math.isfinite(self.lr_peak) and self.lr_peak > 0):
             raise ValueError(f"lr_peak must be finite and > 0, got {self.lr_peak}")
-        self.distance()
-
-    def distance(self) -> DistanceMetric:
-        """The joint objective's distance term; raises ValueError on a bad kind or weight."""
-        return DistanceMetric(self.metric, self.metric_weight)
+        DistanceMetric(self.metric, self.metric_weight)  # raises ValueError on a bad kind or weight
 
     def build(self, cls, language: str, vocab: Vocabulary):
         """A fresh `cls` module of this config's architecture, seeded by `seed`."""
@@ -208,7 +206,7 @@ def joint_train(
     d_y = config.build(DecoderModule, y, vocab_y)
     for m in (e_x, d_x, e_y, d_y):
         registry.add(m)
-    metric = config.distance()
+    metric = DistanceMetric(config.metric, config.metric_weight)
     manifest = RunManifest(
         kind="joint",
         config=asdict(config),
@@ -266,7 +264,7 @@ def add_language(
 
     existing = sorted(registry.modules)
     for name in existing:
-        registry.set_frozen(name, True)
+        registry.get(name).set_frozen(True)
     for m in trained:
         registry.add(m)
     manifest = RunManifest(

@@ -6,13 +6,11 @@ text. Decoding is greedy or length-normalized beam search, with ties broken
 by lowest token id for bitwise reproducibility.
 
 Both decoders are incremental: each step feeds only the newest position to
-`DecoderModule.forward` with a `DecoderCache`, which keeps every block's
-self-attention keys/values and the encoder memory's cross-attention
-keys/values as projected [B, T, D] arrays, so a step costs one position
-instead of the whole prefix.
-Greedy decoding drops a row from the batch (cache, encoder states and pad
-mask) once it emits EOS; beam search runs a sentence's live hypotheses as
-one batch and reorders the cache rows by each survivor's parent.
+`DecoderModule.forward` with a `DecoderCache`, which holds all else a step
+reads (every attention's keys/values and the source-key bias), so a step
+costs one position instead of the whole prefix. Greedy decoding drops a row
+from the cache once it emits EOS; beam search runs a sentence's live
+hypotheses as one batch and reorders the cache rows by each survivor's parent.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ from .tensor import Tensor, no_grad
 from .tokenizer import BOS, EOS, PAD, normalize
 
 ROUTES = ("direct", "zero_shot", "pivot")
+DECODES = ("greedy", "beam")
+CHUNK = 64  # sentences encoded and decoded together, so memory stays bounded
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class TranslationRequest:
             raise CompositionError("pivot route requires a via language")
         if self.route != "pivot" and self.via:
             raise CompositionError(f"via language {self.via!r} given for the {self.route} route")
-        if self.decode not in ("greedy", "beam"):
+        if self.decode not in DECODES:
             raise CompositionError(f"unknown decode mode {self.decode!r}")
         if self.decode == "beam" and self.beam_width < 1:
             raise CompositionError("beam width must be >= 1")
@@ -70,11 +70,10 @@ def greedy_decode(dec: DecoderModule, enc_states, src_pad_mask, max_len: int) ->
     ys[:, 0] = BOS
     lengths = np.full(b, max_len)  # each row's output ends at its EOS, or at the cap
     live = np.arange(b)  # the row of ys behind each decoder row
-    states, mask = enc_states, np.asarray(src_pad_mask, dtype=bool)
     cache = DecoderCache()
     with no_grad():
         for t in range(max_len):
-            logits = dec.forward(states, mask, ys[live, t : t + 1], cache=cache).data[:, -1, :]
+            logits = dec.forward(enc_states, src_pad_mask, ys[live, t : t + 1], cache=cache).data[:, -1, :]
             nxt = np.argmax(logits, axis=-1)
             ys[live, t + 1] = nxt
             going = nxt != EOS
@@ -83,7 +82,6 @@ def greedy_decode(dec: DecoderModule, enc_states, src_pad_mask, max_len: int) ->
                 live = live[going]
                 if not live.size:
                     break
-                states, mask = Tensor(states.data[going]), mask[going]
                 cache.select(going)
     return [row[1 : n + 1].tolist() for row, n in zip(ys, lengths)]
 
@@ -109,9 +107,7 @@ def beam_decode(dec: DecoderModule, enc_states, src_pad_mask, width: int, max_le
         for _ in range(max_len):
             live = [c for c in beams if not c[2]]
             cache.select(np.array([c[3] for c in live]))
-            same = np.zeros(len(live), dtype=np.int64)  # every hypothesis reads the one sentence
-            logits = dec.forward(Tensor(enc_states.data[same]), np.asarray(src_pad_mask)[same],
-                                 np.array([[c[0][-1]] for c in live]), cache=cache)
+            logits = dec.forward(enc_states, src_pad_mask, np.array([[c[0][-1]] for c in live]), cache=cache)
             lp = _log_softmax(logits.data[:, -1, :])
             top = np.argsort(-lp, axis=-1, kind="stable")[:, :width]
             candidates = []
@@ -156,19 +152,18 @@ def _translate_block(registry, request, lines: list[str]) -> list[str]:
     return [dec.vocab.decode(ids) for ids in decoded]
 
 
-def translate_corpus(registry: ModuleRegistry, request: TranslationRequest,
-                     lines: list[str], chunk: int = 64) -> list[str]:
-    """Translate aligned lines; chunked so memory stays bounded."""
+def translate_corpus(registry: ModuleRegistry, request: TranslationRequest, lines: list[str]) -> list[str]:
+    """Translate aligned lines, CHUNK at a time."""
     if request.route == "pivot":
         first = TranslationRequest(request.src_lang, request.via, "direct",
                                    decode=request.decode, beam_width=request.beam_width)
         second = TranslationRequest(request.via, request.tgt_lang, "direct",
                                     decode=request.decode, beam_width=request.beam_width)
-        mid = translate_corpus(registry, first, lines, chunk)
-        return translate_corpus(registry, second, mid, chunk)
+        mid = translate_corpus(registry, first, lines)
+        return translate_corpus(registry, second, mid)
     out = []
-    for lo in range(0, len(lines), chunk):
-        out.extend(_translate_block(registry, request, lines[lo : lo + chunk]))
+    for lo in range(0, len(lines), CHUNK):
+        out.extend(_translate_block(registry, request, lines[lo : lo + CHUNK]))
     return out
 
 

@@ -14,6 +14,7 @@ from modnmt.analysis import (
 from modnmt.corpus import generate_cipher_lines, make_cipher_spec
 from modnmt.model import DecoderModule, EncoderModule, ModuleRegistry
 from modnmt.tokenizer import learn_bpe
+from modnmt.translator import CHUNK
 
 ARCH = dict(dim=16, n_blocks=2, n_heads=2, ff_dim=32)
 
@@ -50,10 +51,16 @@ class TestExtract:
         np.testing.assert_array_equal(dump.matrix[0], dump.matrix[2])
 
     def test_chunking_invariant(self, setup):
-        reg, corpus = setup
-        big = extract_representations(reg, corpus, chunk=64)["X"].matrix
-        small = extract_representations(reg, corpus, chunk=5)["X"].matrix
-        np.testing.assert_allclose(big, small, atol=1e-12)
+        """70 sentences run as two chunks (64 + 6) give the rows of the first
+        64 and the last 6 extracted on their own."""
+        reg, _ = setup
+        lines, _ = generate_cipher_lines(make_cipher_spec("X", 16, 1), make_cipher_spec("Y", 16, 2), 70,
+                                         len_range=(3, 8), seed=4)
+        whole = extract_representations(reg, {"X": lines})["X"].matrix
+        head = extract_representations(reg, {"X": lines[:CHUNK]})["X"].matrix
+        tail = extract_representations(reg, {"X": lines[CHUNK:]})["X"].matrix
+        assert CHUNK == 64 and tail.shape[0] == 6
+        np.testing.assert_allclose(whole, np.concatenate([head, tail]), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("stage", ["encoder_final", "decoder_block_last"])
     def test_lines_normalised_like_translation(self, setup, stage):
@@ -79,8 +86,9 @@ class TestExtract:
 
     def test_unknown_stage(self, setup):
         reg, corpus = setup
-        with pytest.raises(AnalysisError, match="unknown stage"):
-            extract_representations(reg, corpus, stage="pooled")
+        for stage in ("pooled", "decoder_block_x", "decoder_block_", "decoder_block_-1"):
+            with pytest.raises(AnalysisError, match="unknown stage"):
+                extract_representations(reg, corpus, stage=stage, decoder_lang="X")
 
     def test_misaligned_corpus(self, setup):
         reg, corpus = setup

@@ -63,7 +63,9 @@ class TestGenData:
     @pytest.mark.parametrize("argv", [
         ["--langs", "0"], ["--langs", "-1"], ["--langs", "9"],
         ["--len-min", "5", "--len-max", "3"], ["--len-min", "-3"],
-    ], ids=["langs0", "langs-1", "langs9", "len_min_over_max", "len_min_negative"])
+        ["--seed", "-1"], ["--base-vocab", "0"], ["--base-vocab", "93"],
+    ], ids=["langs0", "langs-1", "langs9", "len_min_over_max", "len_min_negative",
+            "seed_negative", "base_vocab0", "base_vocab_over_alphabet"])
     def test_bad_arguments_write_nothing(self, tmp_path, capsys, argv):
         out = tmp_path / "d"
         assert dispatch(["gen-data", "--n", "4", "--n-test", "2", *argv, "--out", str(out)]) == 1
@@ -172,9 +174,10 @@ class TestTrainJoint:
         (["--lr-peak", "0"], "lr_peak must be finite and > 0"),
         (["--lr-peak", "nan"], "lr_peak must be finite and > 0"),
         (["--max-len", "0"], "max_len must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ], ids=["dim0", "steps0", "metric_weight_negative", "metric_weight_nan", "metric_weight_inf",
             "heads_indivisible",
-            "lr_peak_negative", "lr_peak0", "lr_peak_nan", "max_len0"])
+            "lr_peak_negative", "lr_peak0", "lr_peak_nan", "max_len0", "seed_negative"])
     def test_bad_config_is_usage_error_before_out(self, workspace, tmp_path, capsys, argv, message):
         _, data, _ = workspace
         out = tmp_path / "run"
@@ -299,6 +302,18 @@ class TestAddLanguage:
         assert "incompatible with frozen decoder dim 16" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error_before_out(self, workspace, tmp_path, capsys):
+        _, data, run1 = workspace
+        out = tmp_path / "run"
+        rc = dispatch(["add-language", "--from", str(run1 / "checkpoint.bin"),
+                       "--src-corpus", str(data / "Z.txt"), "--tgt-corpus", str(data / "X.txt"),
+                       "--new-vocab", str(data / "vocab_Z.txt"), "--shared-lang", "X",
+                       "--out", str(out), *SMALL_TRAIN, "--seed", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "seed must be >= 0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--metric", "l2"], ["--metric-weight", "5"]],
                              ids=["metric", "metric_weight"])
     def test_metric_flag_rejected(self, workspace, tmp_path, capsys, flag):
@@ -401,6 +416,21 @@ class TestEvaluate:
         assert lines[3].startswith("pivot,pivot,Z,Y,X,")
         assert "zeroshot" in capsys.readouterr().out
 
+    def test_missing_test_language_is_usage_error(self, workspace, run2, tmp_path, capsys, monkeypatch):
+        _, data, _ = workspace
+        from modnmt import translator
+
+        monkeypatch.setattr(translator, "_translate_block", lambda *args: pytest.fail("translated"))
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("a,direct,Z,X\n")
+        out = tmp_path / "g.csv"
+        rc = dispatch(["evaluate", "--ckpt", str(run2 / "checkpoint.bin"),
+                       "--grid", str(grid), "--test", f"Z={data / 'Z.test.txt'}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "no --test lines for language 'X'" in err
+        assert not out.exists()
+
     def test_malformed_grid(self, workspace, run2, tmp_path):
         _, data, _ = workspace
         grid = tmp_path / "grid.cfg"
@@ -447,6 +477,16 @@ class TestInspectReps:
                        "--out", str(tmp_path / "reps")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "reps").exists()
+
+
+    def test_unparseable_decoder_block_is_analysis_error(self, workspace, run2, tmp_path, capsys):
+        _, data, _ = workspace
+        rc = dispatch(["inspect-reps", "--ckpt", str(run2 / "checkpoint.bin"),
+                       "--test", f"X={data / 'X.test.txt'}", "--test", f"Y={data / 'Y.test.txt'}",
+                       "--stage", "decoder_block_x", "--decoder-lang", "X", "--out", str(tmp_path / "reps")])
+        assert rc == 2
+        assert "unknown stage 'decoder_block_x'" in capsys.readouterr().err
         assert not (tmp_path / "reps").exists()
 
 

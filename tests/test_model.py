@@ -254,6 +254,24 @@ class TestDecoderCache:
                                    cache=cache).data
                 np.testing.assert_allclose(step[:, 0], full[rows, t], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_encoder_side_read_from_cache(self, vocab, seed):
+        """After the first call every call passes the original states and
+        mask; the cache alone carries their rows through drops and repeats."""
+        dec, states, mask, tgt, full = self._setup(vocab, seed)
+        selections = {2: np.array([False, True, False, True]),  # drop rows 0 and 2
+                      4: np.array([1, 0, 1, 1]),  # reorder and repeat, as beam search does
+                      7: np.array([0, 2, 3])}  # drop one copy
+        cache = DecoderCache()
+        rows = np.arange(len(self.LINES))
+        with no_grad():
+            for t in range(self.STEPS):
+                if t in selections:
+                    rows = rows[selections[t]]
+                    cache.select(selections[t])
+                step = dec.forward(states, mask, tgt[rows, t : t + 1], cache=cache).data
+                np.testing.assert_allclose(step[:, 0], full[rows, t], rtol=0, atol=1e-12)
+
     def test_forward_without_cache_byte_identical_to_reference(self, vocab):
         dec, states, mask, tgt, full = self._setup(vocab, 4)
         with no_grad():
@@ -357,7 +375,7 @@ class TestCheckpoint:
 
     def test_load_preserves_parameters_and_freeze(self, vocab, tmp_path):
         reg = self._registry(vocab)
-        reg.set_frozen("encoder:X", True)
+        reg.get("encoder:X").set_frozen(True)
         path = tmp_path / "c.bin"
         save_checkpoint(reg, path)
         loaded = load_checkpoint(path, {"X": vocab})
@@ -366,7 +384,7 @@ class TestCheckpoint:
 
     def test_no_gradient_before_backward(self, vocab, tmp_path):
         reg = self._registry(vocab)
-        reg.set_frozen("encoder:X", True)
+        reg.get("encoder:X").set_frozen(True)
         path = tmp_path / "g.bin"
         save_checkpoint(reg, path)
         loaded = load_checkpoint(path, {"X": vocab})

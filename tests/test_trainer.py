@@ -8,11 +8,10 @@ from modnmt.corpus import (
     generate_cipher_lines,
     make_batches,
     make_cipher_spec,
-    normalize_lines,
     preprocess,
 )
 from modnmt.model import CompositionError, DecoderModule, EncoderModule, ModuleRegistry
-from modnmt.tokenizer import learn_bpe
+from modnmt.tokenizer import learn_bpe, normalize
 from modnmt.trainer import (
     ADD_LOSS_CSV_HEADER,
     LOSS_CSV_HEADER,
@@ -138,8 +137,8 @@ def one_row_batch_corpus():
     base, _ = generate_cipher_lines(spec_x, spec_x, 2000, (3, 12), seed=7)
     lines_x = [cipher_oracle_translate(spec_x, spec_x, s) for s in base]
     lines_y = [cipher_oracle_translate(spec_x, spec_y, s) for s in base]
-    vx = learn_bpe(normalize_lines(lines_x), "X", 96)
-    vy = learn_bpe(normalize_lines(lines_y), "Y", 96)
+    vx = learn_bpe([normalize(line) for line in lines_x], "X", 96)
+    vy = learn_bpe([normalize(line) for line in lines_y], "Y", 96)
     return preprocess(lines_x[:41], lines_y[:41], vx, vy), vx, vy
 
 
