@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import analysis, corpus, evaluation, tokenizer, trainer, translator
-from .model import load_checkpoint, save_checkpoint
+from .model import CompositionError, load_checkpoint, save_checkpoint
 from .objective import METRIC_KINDS
 
 log = logging.getLogger(__name__)
@@ -88,6 +88,12 @@ def _write_lines(path, lines) -> None:
             f.write(line + "\n")
 
 
+def _check_writable(path) -> None:
+    """An output file's directory must exist before any work is done for it."""
+    if not Path(path).parent.is_dir():
+        raise UsageError(f"--out {path}: directory {Path(path).parent} does not exist")
+
+
 def _load_run(ckpt_path):
     """The registry in a checkpoint and the vocabularies saved next to it."""
     directory = Path(ckpt_path).parent
@@ -135,6 +141,8 @@ def cmd_gen_data(args) -> int:
         raise UsageError(f"--base-vocab must be between 1 and {len(corpus.ALPHABET)}")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
+    if args.n < 0 or args.n_test < 0:
+        raise UsageError("--n and --n-test must be >= 0")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     langs = LANG_NAMES[: args.langs]
@@ -204,6 +212,7 @@ def cmd_add_language(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    _check_writable(args.output)
     registry, _ = _load_run(args.ckpt)
     request = translator.TranslationRequest(
         src_lang=args.src, tgt_lang=args.tgt, route=args.route, via=args.via,
@@ -230,6 +239,7 @@ def _parse_test_corpora(pairs) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    _check_writable(args.out)
     registry, _ = _load_run(args.ckpt)
     test_corpora = _parse_test_corpora(args.test)
     directions = []
@@ -245,7 +255,10 @@ def cmd_evaluate(args) -> int:
             if lang not in test_corpora:
                 raise UsageError(f"{args.grid}:{lineno}: no --test lines for language {lang!r}")
         via = fields[4] if len(fields) == 5 else None
-        directions.append((label, translator.TranslationRequest(src, tgt, route, via=via)))
+        try:
+            directions.append((label, translator.TranslationRequest(src, tgt, route, via=via)))
+        except CompositionError as err:
+            raise UsageError(f"{args.grid}:{lineno}: {err}") from None
     grid = evaluation.experiment_grid(registry, directions, test_corpora)
     Path(args.out).write_text(grid.to_csv(), encoding="utf-8")
     sys.stdout.write(grid.to_table())

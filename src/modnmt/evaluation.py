@@ -129,8 +129,16 @@ def experiment_grid(registry: ModuleRegistry, directions: list[tuple[str, Transl
 
     `test_corpora` maps language tag to aligned test lines; each direction
     uses its source language's lines as input and its target language's
-    lines as references.
+    lines as references. Every direction is checked before any is translated.
     """
+    for _, request in directions:
+        for lang in (request.src_lang, request.tgt_lang):
+            if lang not in test_corpora:
+                raise EvaluationError(f"no test corpus for language {lang!r}")
+        n_src, n_ref = len(test_corpora[request.src_lang]), len(test_corpora[request.tgt_lang])
+        if n_src != n_ref:
+            raise EvaluationError(f"{request.src_lang}-{request.tgt_lang}: "
+                                  f"{n_src} source lines vs {n_ref} reference lines")
     grid = ExperimentGrid()
     for label, request in directions:
         report = evaluate_direction(

@@ -7,6 +7,7 @@ frozen, or recombined without touching each other.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
@@ -16,7 +17,7 @@ import zlib
 import numpy as np
 
 from .optim import Parameter
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 from .tokenizer import Vocabulary
 
 NEG_INF = -1e9
@@ -30,14 +31,16 @@ class CheckpointError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=256)
 def sinusoidal_positions(length: int, dim: int, start: int = 0) -> np.ndarray:
-    """Encodings of positions start .. start+length-1."""
+    """Encodings of positions start .. start+length-1; cached per arguments, so read-only."""
     pos = np.arange(start, start + length)[:, None].astype(np.float64)
     i = np.arange(dim)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * (i // 2) / dim)
     enc = np.empty((length, dim))
     enc[:, 0::2] = np.sin(angle[:, 0::2])
     enc[:, 1::2] = np.cos(angle[:, 1::2])
+    enc.flags.writeable = False
     return enc
 
 
@@ -128,12 +131,14 @@ def _initial(rng: np.random.Generator, init: str, shape: tuple) -> np.ndarray:
 
 
 def _attention(x_q: Tensor, x_kv: Tensor | None, p: dict, prefix: str, n_heads: int,
-               bias: np.ndarray, cache: DecoderCache | None = None) -> Tensor:
-    """Multi-head attention; `bias` is an additive mask broadcast to [B,H,Tq,Tk].
+               bias: np.ndarray | None, cache: DecoderCache | None = None,
+               real: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention; `bias` (None: no mask) is an additive mask broadcast to [B,H,Tq,Tk].
 
     With a `cache`, the keys/values projected from `x_kv` are appended to the
     ones it holds under `prefix`, and attention runs over all of them; `x_kv`
-    None attends over the cached keys/values alone.
+    None attends over the cached keys/values alone. With `real`, x_q and x_kv
+    hold the packed rows of `_gather`, and only the attention op sees [B, S, D].
     """
     q = x_q.linear(p[prefix + ".wq"].tensor, p[prefix + ".bq"].tensor)
     kv = None
@@ -142,8 +147,23 @@ def _attention(x_q: Tensor, x_kv: Tensor | None, p: dict, prefix: str, n_heads: 
               x_kv.linear(p[prefix + ".wv"].tensor, p[prefix + ".bv"].tensor))
     if cache is not None:
         kv = cache.extend(prefix, kv)
-    ctx = q.attention(*kv, n_heads, bias)
+    q, k, v = (_scatter(t, real) for t in (q, *kv))
+    ctx = _gather(q.attention(k, v, n_heads, bias), real)
     return ctx.linear(p[prefix + ".wo"].tensor, p[prefix + ".bo"].tensor)
+
+
+def _gather(x: Tensor, real: np.ndarray | None) -> Tensor:
+    """The rows of x [B, S, D] at the True cells of `real` [B, S], as [n_real, D]; None: x."""
+    return x if real is None else Tensor(x.data[real])
+
+
+def _scatter(rows: Tensor, real: np.ndarray | None) -> Tensor:
+    """`_gather` undone, with 0.0 at the False cells of `real`; None: rows."""
+    if real is None:
+        return rows
+    out = np.zeros(real.shape + rows.shape[-1:])
+    out[real] = rows.data
+    return Tensor(out)
 
 
 def _feed_forward(x: Tensor, p: dict, prefix: str) -> Tensor:
@@ -169,18 +189,24 @@ class EncoderModule(_Module):
 
         Returns (states [B,S,D], h [B,D]) where h is the mean of the
         final-block states over non-pad positions.
+
+        Under `no_grad`, every op but attention runs on the real positions
+        alone, as [n_real, D], and the pad rows of `states` are 0.0; real rows
+        and `h` keep the bytes of the padded pass. On the tape the pass stays
+        padded: a gradient's sum over rows changes bits with the row count.
         """
         src_ids = np.asarray(src_ids)
         src_pad_mask = np.asarray(src_pad_mask, dtype=bool)
         p = self.params
-        x = self._embed(src_ids, 0)
+        real = None if is_grad_enabled() else ~src_pad_mask
+        x = _gather(self._embed(src_ids, 0), real)
         key_bias = np.where(src_pad_mask[:, None, None, :], NEG_INF, 0.0)
         for blk in range(self.n_blocks):
             pre = f"block{blk}"
             q = _layer_norm(x, p, f"{pre}.ln1")
-            x = x + _attention(q, q, p, f"{pre}.attn", self.n_heads, key_bias)
+            x = x + _attention(q, q, p, f"{pre}.attn", self.n_heads, key_bias, real=real)
             x = x + _feed_forward(_layer_norm(x, p, f"{pre}.ln2"), p, f"{pre}.ff")
-        states = _layer_norm(x, p, "ln_final")
+        states = _scatter(_layer_norm(x, p, "ln_final"), real)
         keep = (~src_pad_mask).astype(np.float64)
         counts = keep.sum(axis=1, keepdims=True)
         h = (states * keep[:, :, None]).sum(axis=1) * (1.0 / counts)
@@ -256,7 +282,9 @@ class DecoderModule(_Module):
         memory = None if past else enc_states
         p = self.params
         x = self._embed(tgt_input_ids, past)
-        causal = np.where(np.triu(np.ones((t, past + t), dtype=bool), k=past + 1), NEG_INF, 0.0)[None, None]
+        # one query position sees every key, so it needs no causal mask
+        causal = None if t == 1 else np.where(
+            np.triu(np.ones((t, past + t), dtype=bool), k=past + 1), NEG_INF, 0.0)[None, None]
         cross_bias = (cache.cross_bias if past else
                       np.where(np.asarray(src_pad_mask, dtype=bool)[:, None, None, :], NEG_INF, 0.0))
         block_states = []

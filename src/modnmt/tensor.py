@@ -16,10 +16,11 @@ overlap, and the worker leaves BLAS threads as the caller set them.
 Each part is the numpy call of the unsplit op, or that call on row halves, so
 the bytes are the unsplit op's wherever a GEMM row's bits do not depend on
 how many rows share the call, the property the decoder cache's byte equality
-with a full recompute already rests on. OpenBLAS 0.3.31 keeps it at 256 to
-2100 rows for every pair of widths among 16, 24, 32, 64, 96, 128 and 256, but
-not for every shape: [M, 64] @ [64, 12] switches kernels near M = 1300, and
-[M, 32] @ [32, 8] differs at M = 256 to 300.
+with a full recompute and the inference encoder's packed real rows already
+rest on. OpenBLAS 0.3.31 keeps it at 256 to 2100 rows for every pair of widths
+among 16, 24, 32, 64, 96, 128 and 256, but not for every shape: [M, 64] @
+[64, 12] switches kernels near M = 1300, and [M, 32] @ [32, 8] differs at
+M = 256 to 300.
 
 The op set is the minimum needed for a small transformer plus the training
 objective: broadcasting arithmetic, batched matmul, reductions, fused
@@ -159,6 +160,12 @@ class no_grad:
 
 
 _GRAD_ENABLED = True
+
+
+def is_grad_enabled() -> bool:
+    """Whether ops are recorded on the tape: False inside `no_grad`."""
+    return _GRAD_ENABLED
+
 
 LAYER_NORM_EPS = 1e-6
 
@@ -322,15 +329,16 @@ class Tensor:
         out = _softmax(self.data, axis)
         return self._unary(out, lambda g: _softmax_grad(g, out, axis))
 
-    def attention(self, k: "Tensor", v: "Tensor", n_heads: int, bias: np.ndarray) -> "Tensor":
+    def attention(self, k: "Tensor", v: "Tensor", n_heads: int, bias: np.ndarray | None) -> "Tensor":
         """Multi-head scaled dot-product attention as one op; self is the query.
 
         q [B,Tq,D] and k, v [B,Tk,D] are split into `n_heads` heads of D/H
-        channels; `bias`, an additive mask broadcast to [B,H,Tq,Tk], joins
-        the scaled scores before the softmax, and the heads' contexts merge
-        back to [B,Tq,D]. The numpy calls, forward and backward, are those of
-        the split, matmul, scale, add, softmax, matmul and merge ops in turn,
-        so values and gradients are bit-identical to composing them.
+        channels; `bias`, an additive mask broadcast to [B,H,Tq,Tk] (None: no
+        mask), joins the scaled scores before the softmax, and the heads'
+        contexts merge back to [B,Tq,D]. The numpy calls, forward and
+        backward, are those of the split, matmul, scale, add, softmax, matmul
+        and merge ops in turn, so values and gradients are bit-identical to
+        composing them.
         """
         (b, tq, d), tk = self.shape, k.shape[1]
         if d % n_heads or k.shape != (b, tk, d) or v.shape != k.shape:
@@ -341,7 +349,8 @@ class Tensor:
         scale = 1.0 / np.sqrt(dh)
         scores = qh @ np.swapaxes(kh, -1, -2)
         scores *= scale
-        scores += bias
+        if bias is not None:
+            scores += bias
         probs = _softmax(scores, -1)
         out = (probs @ vh).transpose(0, 2, 1, 3).reshape(b, tq, d)
 

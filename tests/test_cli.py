@@ -64,8 +64,9 @@ class TestGenData:
         ["--langs", "0"], ["--langs", "-1"], ["--langs", "9"],
         ["--len-min", "5", "--len-max", "3"], ["--len-min", "-3"],
         ["--seed", "-1"], ["--base-vocab", "0"], ["--base-vocab", "93"],
+        ["--n", "-5"], ["--n-test", "-1"],
     ], ids=["langs0", "langs-1", "langs9", "len_min_over_max", "len_min_negative",
-            "seed_negative", "base_vocab0", "base_vocab_over_alphabet"])
+            "seed_negative", "base_vocab0", "base_vocab_over_alphabet", "n_negative", "n_test_negative"])
     def test_bad_arguments_write_nothing(self, tmp_path, capsys, argv):
         out = tmp_path / "d"
         assert dispatch(["gen-data", "--n", "4", "--n-test", "2", *argv, "--out", str(out)]) == 1
@@ -392,6 +393,18 @@ class TestTranslate:
                        "--in", str(data / "X.test.txt"), "--out", str(tmp_path / "o.txt")])
         assert rc == 2
 
+    def test_out_in_missing_directory_is_usage_error_before_translating(
+            self, workspace, run2, tmp_path, capsys, monkeypatch):
+        _, data, _ = workspace
+        from modnmt import translator
+
+        monkeypatch.setattr(translator, "translate_corpus", lambda *args: pytest.fail("translated"))
+        rc = dispatch(["translate", "--ckpt", str(run2 / "checkpoint.bin"), "--src", "Z", "--tgt", "Y",
+                       "--in", str(data / "Z.test.txt"), "--out", str(tmp_path / "nodir" / "o.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error: --out")
+        assert not (tmp_path / "nodir").exists()
+
 
 class TestEvaluate:
     def test_grid_csv(self, workspace, run2, tmp_path, capsys):
@@ -429,6 +442,43 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "no --test lines for language 'X'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid_text, out_name, message", [
+        ("a,direct,Z,X\nb,sideways,Z,Y\n", "g.csv", "grid.cfg:2: unknown route 'sideways'"),
+        ("a,direct,Z,X\n", "nodir/g.csv", "--out"),
+    ], ids=["bad_route", "out_in_missing_directory"])
+    def test_bad_input_is_usage_error_before_translating(
+            self, workspace, run2, tmp_path, capsys, monkeypatch, grid_text, out_name, message):
+        _, data, _ = workspace
+        from modnmt import evaluation
+
+        monkeypatch.setattr(evaluation, "translate_corpus", lambda *args: pytest.fail("translated"))
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(grid_text)
+        out = tmp_path / out_name
+        rc = dispatch(["evaluate", "--ckpt", str(run2 / "checkpoint.bin"), "--grid", str(grid),
+                       *(f"--test={lang}={data / f'{lang}.test.txt'}" for lang in "XYZ"),
+                       "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not out.exists()
+
+    def test_empty_reference_fails_before_translating(self, workspace, run2, tmp_path, capsys, monkeypatch):
+        _, data, _ = workspace
+        from modnmt import evaluation
+
+        monkeypatch.setattr(evaluation, "translate_corpus", lambda *args: pytest.fail("translated"))
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("a,direct,Z,X\n")
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        out = tmp_path / "g.csv"
+        rc = dispatch(["evaluate", "--ckpt", str(run2 / "checkpoint.bin"), "--grid", str(grid),
+                       "--test", f"Z={data / 'Z.test.txt'}", "--test", f"X={empty}", "--out", str(out)])
+        assert rc == 2
+        assert "20 source lines vs 0 reference lines" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_grid(self, workspace, run2, tmp_path):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modnmt.evaluation import EvaluationError, ExperimentGrid, GridEntry, corpus_bleu
+from modnmt import evaluation
+from modnmt.evaluation import EvaluationError, ExperimentGrid, GridEntry, corpus_bleu, experiment_grid
 from modnmt.translator import TranslationRequest
 
 
@@ -96,3 +97,22 @@ class TestGrid:
         entry = GridEntry("pivot", TranslationRequest("Z", "Y", "pivot", via="X"), corpus_bleu(["a b c d"], ["a b c d"]))
         table = ExperimentGrid([entry]).to_table()
         assert "pivot" in table and "Z-Y" in table and "100.00" in table
+
+
+class TestExperimentGridChecks:
+    """Every direction is checked before the first is translated."""
+
+    @pytest.fixture(autouse=True)
+    def no_translation(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "translate_corpus", lambda *args: pytest.fail("translated"))
+
+    @pytest.mark.parametrize("second", [TranslationRequest("Z", "X"), TranslationRequest("Q", "Y")])
+    def test_missing_language_named(self, second):
+        directions = [("ok", TranslationRequest("Z", "Y")), ("bad", second)]
+        missing = "X" if second.tgt_lang == "X" else "Q"
+        with pytest.raises(EvaluationError, match=f"no test corpus for language '{missing}'"):
+            experiment_grid(None, directions, {"Y": ["a"], "Z": ["b"]})
+
+    def test_line_count_mismatch(self):
+        with pytest.raises(EvaluationError, match="Z-Y: 2 source lines vs 0 reference lines"):
+            experiment_grid(None, [("z", TranslationRequest("Z", "Y"))], {"Y": [], "Z": ["a", "b"]})

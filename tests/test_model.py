@@ -56,6 +56,15 @@ class TestSinusoidalPositions:
         enc = sinusoidal_positions(50, 16)
         assert np.abs(enc).max() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("length, dim, start", [(1, 16, 0), (7, 64, 0), (1, 64, 30), (12, 32, 5)])
+    def test_cached_read_only_and_fresh_bytes(self, length, dim, start):
+        enc = sinusoidal_positions(length, dim, start)
+        assert sinusoidal_positions(length, dim, start) is enc
+        assert not enc.flags.writeable
+        with pytest.raises(ValueError):
+            enc[0, 0] = 1.0
+        assert enc.tobytes() == sinusoidal_positions.__wrapped__(length, dim, start).tobytes()
+
 
 class TestEncoder:
     def test_identical_sentences_identical_rows(self, vocab):
@@ -83,6 +92,26 @@ class TestEncoder:
         with no_grad():
             states, h = enc.encode(ids, mask)
         np.testing.assert_array_equal(h.data, states.data[:, 0, :])
+
+    @pytest.mark.parametrize("lengths", [list(range(1, 10)), [9, 9, 9], [6]],
+                             ids=["one_to_s", "no_padding", "single_row"])
+    @pytest.mark.parametrize("arch", [ARCH, dict(dim=64, n_blocks=2, n_heads=4, ff_dim=256)],
+                             ids=["dim16", "dim64"])
+    def test_no_grad_packs_real_rows_with_the_same_bytes(self, vocab, lengths, arch):
+        enc = EncoderModule("X", vocab, seed=3, **arch)
+        width = max(lengths)
+        rng = np.random.default_rng(len(lengths))
+        ids = rng.integers(3, len(vocab), size=(len(lengths), width))
+        mask = np.arange(width)[None, :] >= np.array(lengths)[:, None]
+        ids[mask] = PAD
+        taped_states, taped_h = enc.encode(ids, mask)
+        assert taped_states.requires_grad
+        with no_grad():
+            states, h = enc.encode(ids, mask)
+        assert states.shape == taped_states.shape
+        assert states.data[~mask].tobytes() == taped_states.data[~mask].tobytes()
+        assert h.data.tobytes() == taped_h.data.tobytes()
+        assert np.all(states.data[mask] == 0.0) and not np.signbit(states.data[mask]).any()
 
     def test_seeded_init_reproducible(self, vocab):
         a = EncoderModule("X", vocab, seed=3, **ARCH)

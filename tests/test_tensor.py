@@ -530,6 +530,17 @@ def test_attention_equals_composed_ops(kind, n_heads, tq, tk, on_tape):
         assert a.tobytes() == c.tobytes()
 
 
+@pytest.mark.parametrize("tq, tk", [(1, 1), (1, 6), (4, 4)])
+def test_attention_without_bias_equals_zero_bias(tq, tk):
+    rng = np.random.default_rng([tq, tk])
+    b, d, n_heads = 3, 8, 2
+    q, k, v = rand(rng, b, tq, d), rand(rng, b, tk, d), rand(rng, b, tk, d)
+    q[0, 0, 0] = -0.0
+    none = Tensor(q).attention(Tensor(k), Tensor(v), n_heads, None)
+    zero = Tensor(q).attention(Tensor(k), Tensor(v), n_heads, np.zeros((1, 1, tq, tk)))
+    assert none.data.tobytes() == zero.data.tobytes()
+
+
 def test_attention_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
     b, tq, tk, d, n_heads = 2, 3, 4, 4, 2
